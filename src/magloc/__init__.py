@@ -3,8 +3,10 @@
 Pipeline: simulate a magnetometer-array robot in a synthetic ambient
 field, build a dense magnetic grid map by Gaussian-process regression,
 then jointly estimate pose and per-sensor calibration online via sequence
-accumulation, alternating SGD / Gauss-Newton optimization, and a
-recursive-least-squares post-filter.
+accumulation and, per frame, one alternation of a Gauss-Newton pose step
+(calibration fixed) with an exact recursive-least-squares calibration
+step (pose fixed).  The RLS step replaces the paper's stochastic-gradient
+calibration update.
 """
 
 from .errors import (AlignmentError, ConfigurationError, DatasetSchemaError,
@@ -22,8 +24,8 @@ from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   simulate_readings, write_dataset)
 from .window import SlidingWindow, regressor, sensor_poses
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
-                        calib_gradient, gauss_newton_step, pose_jacobian,
-                        pose_residual, rls_update, run, sgd_step)
+                        gauss_newton_step, pose_jacobian, pose_residual,
+                        rls_update, run)
 from .evaluate import TrajectoryPair, align_rigid, ate, calib_error, classify_frames
 
 __version__ = "0.1.0"

@@ -1,17 +1,19 @@
 """Joint pose and calibration estimator.
 
-Per frame the accumulated window is optimized by alternating two
-sub-problems: stochastic-gradient refinement of each sensor's affine
-calibration vector (sensors are independent), then damped Gauss-Newton
-refinement of the pose pooling all sensors.  After the frame converges,
-one (regressor, map-field) pair per sensor feeds a recursive-least-squares
-filter that consolidates the calibration across the whole run and seeds
-the next frame.
+Each frame is one alternation of two blocks.  First the pose is refined
+over the accumulated window by damped Gauss-Newton with every sensor's
+affine calibration held fixed (`alternate`).  Then, with that pose held
+fixed, one (regressor, map-field) pair per sensor feeds a
+recursive-least-squares filter (`run`).  With the pose fixed the
+calibration subproblem is linear, so the RLS update is its exact
+least-squares solution over every frame so far; it replaces the paper's
+per-frame stochastic-gradient calibration step and seeds the next frame.
 
-When the solver diverges (residual floor above the configured threshold,
-out-of-map query, or a stalled step) the reference pose is substituted and
-flagged, so the run can continue and the filter keeps ingesting
-consistent data.
+The reference pose is substituted and flagged when the pose step fails:
+the pooled residual ends above the configured threshold, or a map query
+leaves the mapped region.  A stalled line search is not a failure; the
+round simply stops at the current pose.  The run continues either way and
+the filter keeps ingesting consistent data.
 """
 
 import time
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, OutOfMapError
+from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError
 from .geom import (PosePerturbation, PoseState, boxplus, exp_so3, log_so3,
                    skew_many)
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
@@ -35,31 +37,22 @@ MASK_FULL = (True,) * 6
 
 @dataclass
 class SolverConfig:
-    eta: float = 1e-3  # SGD rate on magnitude-normalized regressors
-    lambda_reg: float = 1e-2
-    sgd_iters_per_round: int = 5
     gn_iters_per_round: int = 3
     max_alternations: int = 10
     pose_tol_m: float = 1e-4
     pose_tol_rad: float = 1e-4
-    calib_tol: float = 1e-4
     state_mask: tuple = MASK_PLANAR
     gn_damping: float = 1e-6
     # None = auto threshold 10 * meas_sigma * sqrt(3 * N * window); inf
     # disables the residual-based fallback entirely.
     divergence_residual: float | None = None
     meas_sigma: float = 0.2  # noise scale the auto threshold is based on
-    reg_target: str = "identity"  # "identity" | "zero"
     window_m: float = 0.5
     calibrate: bool = True
 
     def __post_init__(self):
-        if self.eta <= 0.0 or self.lambda_reg < 0.0:
-            raise ConfigurationError("eta must be positive, lambda_reg >= 0")
         if not any(self.state_mask):
             raise ConfigurationError("state mask disables every dimension")
-        if self.reg_target not in ("identity", "zero"):
-            raise ConfigurationError(f"unknown reg_target {self.reg_target!r}")
 
     def divergence_threshold(self, n_sensors: int, window_len: int) -> float:
         if self.divergence_residual is not None:
@@ -70,10 +63,6 @@ class SolverConfig:
             # ablation to the reference trajectory.
             return np.inf
         return 10.0 * self.meas_sigma * np.sqrt(3.0 * n_sensors * window_len)
-
-
-def _reg_reference(reg_target: str) -> np.ndarray:
-    return identity_theta()[:9] if reg_target == "identity" else np.zeros(9)
 
 
 def _as_snapshot(window) -> WindowSnapshot:
@@ -97,34 +86,6 @@ def _fields_at(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap):
 
 def _residual_all(snap: WindowSnapshot, thetas: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0] - g
-
-
-def calib_objective(window, theta: np.ndarray, x: PoseState,
-                    grid: MagneticGridMap, sensor: int,
-                    lambda_reg: float, reg_target: str = "identity") -> float:
-    """Half squared misfit of one sensor over the window, plus C-block reg."""
-    snap = _as_snapshot(window)
-    _, _, _, g = _fields_at(snap, x, grid)
-    resid = snap.regressors[:, sensor] @ theta - g[:, sensor]
-    reg = theta[:9] - _reg_reference(reg_target)
-    return 0.5 * float(np.sum(resid**2)) + 0.5 * lambda_reg * float(np.sum(reg**2))
-
-
-def calib_gradient(window, theta: np.ndarray, x: PoseState,
-                   grid: MagneticGridMap, sensor: int,
-                   lambda_reg: float, reg_target: str = "identity") -> np.ndarray:
-    """Exact gradient of calib_objective in the 12 calibration coordinates."""
-    snap = _as_snapshot(window)
-    _, _, _, g = _fields_at(snap, x, grid)
-    h = snap.regressors[:, sensor]
-    resid = h @ theta - g[:, sensor]
-    grad = np.einsum("jak,ja->k", h, resid)
-    grad[:9] += lambda_reg * (theta[:9] - _reg_reference(reg_target))
-    return grad
-
-
-def sgd_step(theta: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
-    return theta - eta * grad
 
 
 def pose_residual(window, theta: np.ndarray, x: PoseState,
@@ -205,7 +166,6 @@ def gauss_newton_step(residuals, jacobians, mask, damping: float,
 
 @dataclass
 class AlternateResult:
-    thetas: np.ndarray  # (N, 12)
     x: PoseState
     diverged: bool
     stalled: bool
@@ -220,39 +180,23 @@ def _pooled_norm(snap, thetas, x, grid):
 
 def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
               config: SolverConfig) -> AlternateResult:
-    """Alternating SGD / Gauss-Newton rounds on one window.
+    """Pose block of the alternation: Gauss-Newton on one window.
 
-    Runs up to max_alternations rounds of per-sensor calibration steps
-    followed by pooled pose steps, stopping early once both step norms
-    fall under their tolerances.  SGD steps are preconditioned per block:
-    the C-block rate is scaled by the inverse squared mean reading
-    magnitude so eta is dimensionless across field strengths.
+    The calibration `thetas` is held fixed; `run` refines it afterwards
+    with the pose held fixed.  Runs up to max_alternations rounds of
+    gn_iters_per_round pooled pose steps.  A stalled line search ends its
+    round; the loop stops early once a round's last accepted step (zero if
+    none) falls under both pose tolerances.
     """
     snap = _as_snapshot(window)
-    thetas = np.array(thetas, dtype=float).reshape(snap.n_sensors, 12)
+    thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
     x = x_prior.copy()
-    scales = np.maximum(
-        np.linalg.norm(snap.readings, axis=-1).mean(axis=0), 1e-6)  # (N,)
-    reg_ref = _reg_reference(config.reg_target)
     mask = np.asarray(config.state_mask, dtype=bool)
 
     stalled = False
     rounds = 0
     try:
         for rounds in range(1, config.max_alternations + 1):
-            theta_before = thetas.copy()
-            if config.calibrate and config.sgd_iters_per_round > 0:
-                # Pose is fixed for the round: map lookups are reusable.
-                _, _, _, g = _fields_at(snap, x, grid)
-                for _ in range(config.sgd_iters_per_round):
-                    resid = _residual_all(snap, thetas, g)
-                    grad = np.matmul(snap.regressors.swapaxes(-1, -2),
-                                     resid[..., None])[..., 0].sum(axis=0)
-                    grad[:, :9] += config.lambda_reg * (thetas[:, :9] - reg_ref)
-                    thetas[:, :9] -= (config.eta / scales[:, None]**2) * grad[:, :9]
-                    thetas[:, 9:] -= config.eta * grad[:, 9:]
-            theta_step = float(np.max(np.linalg.norm(thetas - theta_before, axis=1)))
-
             dp_norm = 0.0
             dphi_norm = 0.0
             for _ in range(config.gn_iters_per_round):
@@ -285,34 +229,32 @@ def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
                 x = boxplus(x, dx)
                 dp_norm = dx.norm_translation()
                 dphi_norm = dx.norm_rotation()
-            if (theta_step < config.calib_tol and dp_norm < config.pose_tol_m
-                    and dphi_norm < config.pose_tol_rad):
+            if dp_norm < config.pose_tol_m and dphi_norm < config.pose_tol_rad:
                 break
         residual_norm = _pooled_norm(snap, thetas, x, grid)
     except OutOfMapError:
-        return AlternateResult(thetas, x, True, stalled, rounds, np.inf)
+        return AlternateResult(x, True, stalled, rounds, np.inf)
 
     threshold = config.divergence_threshold(snap.n_sensors, len(snap))
     diverged = bool(residual_norm > threshold)
-    return AlternateResult(thetas, x, diverged, stalled, rounds, residual_norm)
+    return AlternateResult(x, diverged, stalled, rounds, residual_norm)
 
 
 @dataclass
 class RlsState:
     """Per-sensor recursive-least-squares accumulator.
 
-    p_matrix is the accumulated normal matrix (prior included); p_inv is
-    maintained alongside it through the 3x3 Woodbury update so no 12x12
+    p_inv is the inverse of the accumulated normal matrix (prior
+    included), maintained through the 3x3 Woodbury update so no 12x12
     inversion happens per step.
     """
 
     theta: np.ndarray
-    p_matrix: np.ndarray
     p_inv: np.ndarray
 
     @staticmethod
     def identity_init(eps: float = 1e-4) -> "RlsState":
-        return RlsState(identity_theta(), eps * np.eye(12), (1.0 / eps) * np.eye(12))
+        return RlsState(identity_theta(), (1.0 / eps) * np.eye(12))
 
 
 def rls_update(state: RlsState, h: np.ndarray, g: np.ndarray) -> RlsState:
@@ -323,7 +265,6 @@ def rls_update(state: RlsState, h: np.ndarray, g: np.ndarray) -> RlsState:
     inner = np.eye(3) + h @ pht
     gain = pht @ np.linalg.inv(inner)
     state.theta = state.theta + gain @ (g - h @ state.theta)
-    state.p_matrix = state.p_matrix + h.T @ h
     state.p_inv = state.p_inv - gain @ pht.T
     return state
 
@@ -359,12 +300,23 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
     """Online loop over a dataset: propagate, accumulate, alternate, filter.
 
     The prior starts at the first frame's reference pose (relocalization
-    handoff) and is propagated by raw odometry between frames.  On a
-    divergence signal the reference pose is substituted for the frame and
-    flagged, exactly as the fallback relocalization policy prescribes.
+    handoff) and is propagated by raw odometry between frames.  Each frame
+    is one alternation: `alternate` refines the pose with the calibration
+    fixed, then the RLS filter refines the calibration with that pose
+    fixed, exactly (least squares over every frame so far).  This stands
+    in for the paper's stochastic-gradient calibration step.  When the pose
+    step diverges (residual above threshold or out-of-map query) the
+    reference pose is substituted for the frame and flagged, as the
+    fallback relocalization policy prescribes.  A dataset holding a
+    non-finite value is rejected before any frame runs.
     """
     if not frames:
         raise ConfigurationError("empty dataset")
+    for k, f in enumerate(frames):
+        values = (f.t, f.odom_dq, f.odom_dp, f.readings, f.gt_p, f.gt_q)
+        if not all(np.all(np.isfinite(v)) for v in values):
+            raise DatasetSchemaError(
+                f"frame {k} (t={f.t}) holds a non-finite value")
     xmin, xmax, ymin, ymax = grid.extent()
     gt = np.stack([f.gt_p for f in frames])
     if (gt[:, 0].min() < xmin or gt[:, 0].max() > xmax
@@ -392,7 +344,6 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
         result = alternate(window, thetas, x, grid, config)
         fallback = result.diverged
         x = frame.gt_pose() if fallback else result.x
-        thetas = result.thetas
         if config.calibrate:
             r_body = x.rotation()
             sensor_r = np.einsum("ab,nbc->nac", r_body, ext_r)

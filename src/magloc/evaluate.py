@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ConfigurationError
 from .geom import RigidTransform
 
 WELL_ESTIMATED_M = 0.3
@@ -127,6 +127,8 @@ def read_trajectory_csv(path) -> dict:
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         rows = list(reader)
+    if not rows:
+        raise ConfigurationError(f"trajectory file {path} holds no frames")
     out = {}
     for key in rows[0].keys():
         out[key] = np.array([float(r[key]) for r in rows])

@@ -113,10 +113,6 @@ class MagneticGridMap:
                          self.origin[1] + j * self.resolution,
                          self.plane_height])
 
-    def contains(self, p) -> bool:
-        xmin, xmax, ymin, ymax = self.extent()
-        return bool(xmin <= p[0] <= xmax and ymin <= p[1] <= ymax)
-
 
 def _distance_to_grid_rect(p: np.ndarray, origin, resolution, nx, ny,
                            plane_height) -> float:
@@ -155,10 +151,13 @@ def rasterize(model: FieldModel, origin, resolution: float, nx: int, ny: int,
 
 
 def _cell_coords(grid: MagneticGridMap, points: np.ndarray):
-    """Cell indices and in-cell fractions for (m, 3) query points."""
+    """Cell indices and in-cell fractions for (m, 3) query points.
+
+    Non-finite coordinates fail the in-range test and raise OutOfMapError.
+    """
     xmin, xmax, ymin, ymax = grid.extent()
     x, y = points[:, 0], points[:, 1]
-    bad = (x < xmin) | (x > xmax) | (y < ymin) | (y > ymax)
+    bad = ~((x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax))
     if np.any(bad):
         raise OutOfMapError(points[np.argmax(bad)])
     tx = (x - xmin) / grid.resolution

@@ -172,6 +172,32 @@ class TestRunAndEval:
                      "--map", str(tmp_path / "ow" / "map_true.mag")])
         assert code == 2
 
+    def test_non_finite_dataset_exit_1_without_outputs(self, tmp_path, workdir,
+                                                       capsys):
+        config_path, out = workdir
+        lines = (out / "dataset.jsonl").read_text().splitlines()
+        record = json.loads(lines[5])
+        record["readings"][4] = float("nan")
+        lines[5] = json.dumps(record)  # written as a bare NaN, valid for json
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        run_out = tmp_path / "nan_run"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(bad),
+                     "--map", str(out / "map_true.mag")]) == 1
+        assert "frame 5" in capsys.readouterr().err
+        assert not run_out.exists()
+
+    def test_header_only_trajectory_exit_2(self, workdir):
+        config_path, out = workdir
+        assert main(["run", "--config", config_path, "--out", str(out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(out / "map_true.mag")]) == 0
+        (out / "trajectory.csv").write_text(
+            "t,px,py,pz,yaw,fallback,iters,resid,ms\n")
+        assert main(["eval", "--run-dir", str(out),
+                     "--dataset", str(out / "dataset.jsonl")]) == 2
+
     def test_ablation_flags_recorded(self, workdir):
         config_path, out = workdir
         main(["run", "--config", config_path, "--out", str(out),
@@ -205,6 +231,15 @@ class TestRunAndEval:
 
 
 class TestPipeline:
+    def test_removed_solver_key_exit_2(self, tmp_path, capsys):
+        # A solver key SolverConfig does not define, such as the paper's
+        # SGD rate eta, is rejected rather than silently ignored.
+        path = tmp_path / "old.json"
+        scenario.save_config(small_config(solver={"eta": 0.001}), path)
+        assert main(["pipeline", "--config", str(path),
+                     "--out", str(tmp_path / "p")]) == 2
+        assert "eta" in capsys.readouterr().err
+
     def test_end_to_end_determinism(self, tmp_path, config_path):
         outs = []
         for name in ("p1", "p2"):

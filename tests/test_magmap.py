@@ -152,6 +152,15 @@ class TestInterpolate:
         with pytest.raises(OutOfMapError) as err:
             interpolate(grid, np.array([-0.1, 0.5, 0.0]))
         assert err.value.point[0] == -0.1
+        # Non-finite coordinates take the same path, in the batched
+        # kernels too, instead of indexing with a garbage cell.
+        for bad in ([np.nan, 0.5, 0.0], [0.5, np.nan, 0.0],
+                    [np.inf, 0.5, 0.0], [0.5, -np.inf, 0.0]):
+            points = np.array([[0.5, 0.5, 0.0], bad])
+            with pytest.raises(OutOfMapError):
+                interpolate_many(grid, points)
+            with pytest.raises(OutOfMapError):
+                gradient_many(grid, points)
 
     def test_continuity_across_cell_edges(self, rng):
         grid = affine_map(rng.normal(size=(3, 3)), rng.normal(size=3),

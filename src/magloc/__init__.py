@@ -17,7 +17,7 @@ from .geom import (PosePerturbation, PoseState, RigidTransform, boxplus,
 from .magmap import (DipoleSource, FieldModel, MagneticGridMap, dipole_field,
                      gradient, interpolate, load_map, rasterize, sample_field,
                      save_map)
-from .gpr import Fingerprint, GprModel, KernelParams, build_grid, fit, predict, rbf_kernel
+from .gpr import Fingerprint, GprModel, KernelParams, build_grid, fit, predict_many
 from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,
                   generate_trajectory, read_dataset, simulate_odometry,

@@ -199,6 +199,10 @@ def cmd_eval(args) -> int:
         columns["t"], est_p, ref_t, ref_p,
         [np.asarray(t, float) for t in summary["final_thetas"]],
         theta_true, summary["mean_frame_ms"], max_dt=max_dt)
+    # Fallback frames carry the ground-truth pose, which flatters the ATE.
+    fallbacks = int(np.count_nonzero(columns["fallback"]))
+    report["fallback_frames"] = fallbacks
+    report["fallback_rate"] = fallbacks / len(columns["fallback"])
     out = run_dir if args.out is None else _out_dir(args)
     _write_json(report, Path(out) / REPORT)
     print(f"eval: ATE {report['ate_m']:.3f} m, "
@@ -207,6 +211,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    # cmd_run builds the solver only after the map; check it before any write.
+    _solver_from_args(_load_scenario(args), args)
     out = _out_dir(args)
     args.out = str(out)
     cmd_gen_world(args)

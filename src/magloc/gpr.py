@@ -4,6 +4,12 @@ Three independent per-axis GPs share one RBF kernel; the mean function is
 the per-axis average of the training fields (the local background field).
 Only the posterior mean is used downstream: predictions are rasterized
 into the dense grid map that the estimator queries.
+
+Kernel matrices come from `cdist` squared distances, with the RBF applied
+in place, so no (m, n, 3) difference array is formed.  `predict_many`
+evaluates the cross-kernel in blocks of `_PREDICT_BLOCK_ROWS` query rows:
+for m queries against n training points its working memory is one
+(block, n) kernel plus the (m, 3) output, not an (m, n) matrix.
 """
 
 import csv
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import DegenerateTrainingError
 from .magmap import MagneticGridMap
@@ -20,6 +27,9 @@ from .magmap import MagneticGridMap
 MAX_TRAINING_POINTS = 5000
 
 MIN_PAIRWISE_DISTANCE = 1e-6
+
+# Query rows per cross-kernel block in predict_many.
+_PREDICT_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -41,14 +51,14 @@ class KernelParams:
             raise ValueError("kernel parameters must be positive (noise_var >= 0)")
 
 
-def rbf_kernel(pj: np.ndarray, pk: np.ndarray, params: KernelParams) -> float:
-    d2 = float(np.sum((np.asarray(pj, float) - np.asarray(pk, float))**2))
-    return params.signal_var * float(np.exp(-d2 / (2.0 * params.lengthscale**2)))
-
-
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    d2 = np.sum((a[:, None, :] - b[None, :, :])**2, axis=-1)
-    return params.signal_var * np.exp(-d2 / (2.0 * params.lengthscale**2))
+    """RBF kernel between the rows of (m, 3) `a` and (n, 3) `b`, (m, n)."""
+    k = cdist(a, b, "sqeuclidean")
+    # Divide, not multiply by the reciprocal: the bits of -d2 / (2 l^2) stay.
+    k /= -2.0 * params.lengthscale**2
+    np.exp(k, out=k)
+    k *= params.signal_var
+    return k
 
 
 @dataclass
@@ -101,12 +111,13 @@ def fit(fingerprints, params: KernelParams) -> GprModel:
 def predict_many(model: GprModel, points: np.ndarray) -> np.ndarray:
     """Posterior-mean field at (m, 3) query points, returning (m, 3)."""
     points = np.asarray(points, dtype=float)
-    kstar = _kernel_matrix(points, model.train_pos, model.params)
-    return model.mean + kstar @ model.alpha
-
-
-def predict(model: GprModel, p: np.ndarray) -> np.ndarray:
-    return predict_many(model, np.asarray(p, dtype=float)[None, :])[0]
+    out = np.empty((len(points), 3))
+    for start in range(0, len(points), _PREDICT_BLOCK_ROWS):
+        block = points[start:start + _PREDICT_BLOCK_ROWS]
+        out[start:start + len(block)] = (
+            _kernel_matrix(block, model.train_pos, model.params) @ model.alpha)
+    out += model.mean
+    return out
 
 
 def build_grid(model: GprModel, origin, resolution: float, nx: int, ny: int,

@@ -106,7 +106,8 @@ class TestBuildMap:
         model = gpr.fit(fps, scenario.kernel_params(cfg))
         for i, j in ((0, 0), (30, 25), (60, 50)):
             np.testing.assert_allclose(grid.values[i, j],
-                                       gpr.predict(model, grid.node_position(i, j)),
+                                       gpr.predict_many(
+                                           model, grid.node_position(i, j)[None])[0],
                                        atol=1e-10)
 
     def test_empty_fingerprints_fail(self, tmp_path, config_path):
@@ -157,6 +158,9 @@ class TestRunAndEval:
             cols["t"], np.stack([cols["px"], cols["py"], cols["pz"]], axis=1),
             [f.t for f in frames], np.stack([f.gt_p for f in frames]))
         assert report["ate_m"] == pytest.approx(evaluate.ate(pair), abs=1e-12)
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert report["fallback_frames"] == summary["fallback_frames"]
+        assert report["fallback_rate"] == summary["fallback_frames"] / len(frames)
 
     def test_region_mismatch_exit_code(self, tmp_path, workdir):
         config_path, out = workdir
@@ -236,9 +240,10 @@ class TestPipeline:
         # SGD rate eta, is rejected rather than silently ignored.
         path = tmp_path / "old.json"
         scenario.save_config(small_config(solver={"eta": 0.001}), path)
-        assert main(["pipeline", "--config", str(path),
-                     "--out", str(tmp_path / "p")]) == 2
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
         assert "eta" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_end_to_end_determinism(self, tmp_path, config_path):
         outs = []

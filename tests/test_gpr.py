@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from magloc.errors import DegenerateTrainingError
-from magloc.gpr import (Fingerprint, KernelParams, build_grid, fit, predict,
-                        predict_many, rbf_kernel, read_fingerprints_csv,
+from magloc.gpr import (Fingerprint, KernelParams, _kernel_matrix, build_grid,
+                        fit, predict_many, read_fingerprints_csv,
                         write_fingerprints_csv)
 from magloc.magmap import DipoleSource, FieldModel, sample_field_many
 
@@ -14,24 +16,30 @@ def make_params(**kw):
     return KernelParams(**base)
 
 
+def rbf(pj, pk, params):
+    """The RBF kernel of one pair of points, written out as the oracle."""
+    d2 = float(np.sum((pj - pk)**2))
+    return params.signal_var * np.exp(-d2 / (2.0 * params.lengthscale**2))
+
+
 class TestKernel:
-    def test_zero_distance(self):
+    def test_zero_distance(self, rng):
         params = make_params()
-        p = np.array([1.0, 2.0, 3.0])
-        assert rbf_kernel(p, p, params) == 25.0
+        p = rng.normal(size=(20, 3))
+        assert np.all(np.diag(_kernel_matrix(p, p, params)) == 25.0)
 
     def test_one_lengthscale(self):
         params = make_params(lengthscale=0.7)
-        a = np.zeros(3)
-        b = np.array([0.7, 0.0, 0.0])
-        np.testing.assert_allclose(rbf_kernel(a, b, params),
+        a = np.zeros((1, 3))
+        b = np.array([[0.7, 0.0, 0.0]])
+        np.testing.assert_allclose(_kernel_matrix(a, b, params)[0, 0],
                                    25.0 * np.exp(-0.5), rtol=1e-12)
 
     def test_symmetry(self, rng):
         params = make_params(lengthscale=0.9)
-        for _ in range(100):
-            a, b = rng.normal(size=3), rng.normal(size=3)
-            assert rbf_kernel(a, b, params) == rbf_kernel(b, a, params)
+        p = rng.normal(size=(100, 3))
+        k = _kernel_matrix(p, p, params)
+        assert np.array_equal(k, k.T)
 
 
 class TestFit:
@@ -41,8 +49,8 @@ class TestFit:
         fp = Fingerprint(np.zeros(3), np.array([10.0, -2.0, 6.0]))
         model = fit([fp], params)
         expected = model.mean + 4.0 / 5.0 * (fp.field - model.mean)
-        np.testing.assert_allclose(predict(model, fp.position), expected,
-                                   atol=1e-12)
+        np.testing.assert_allclose(predict_many(model, fp.position[None])[0],
+                                   expected, atol=1e-12)
 
     def test_constant_fields_give_zero_weights(self, rng):
         params = make_params()
@@ -50,7 +58,7 @@ class TestFit:
         fps = [Fingerprint(rng.uniform(0, 3, 3), field.copy()) for _ in range(6)]
         model = fit(fps, params)
         np.testing.assert_allclose(model.alpha, 0.0, atol=1e-12)
-        np.testing.assert_allclose(predict(model, np.array([9.0, 9.0, 9.0])),
+        np.testing.assert_allclose(predict_many(model, np.full((1, 3), 9.0))[0],
                                    field, atol=1e-12)
 
     def test_predictions_match_dense_solve(self, rng):
@@ -64,13 +72,14 @@ class TestFit:
         k = np.empty((5, 5))
         for i in range(5):
             for j in range(5):
-                k[i, j] = rbf_kernel(pos[i], pos[j], params)
+                k[i, j] = rbf(pos[i], pos[j], params)
         k += params.noise_var * np.eye(5)
         mean = fields.mean(axis=0)
         alpha = np.linalg.solve(k, fields - mean)
         for i in range(5):
             expected = mean + k[i] @ alpha - params.noise_var * alpha[i]
-            np.testing.assert_allclose(predict(model, pos[i]), expected, atol=1e-8)
+            np.testing.assert_allclose(predict_many(model, pos[i][None])[0],
+                                       expected, atol=1e-8)
 
     def test_duplicate_positions_rejected(self):
         p = np.array([1.0, 1.0, 0.0])
@@ -95,7 +104,8 @@ class TestPredict:
                for _ in range(8)]
         model = fit(fps, params)
         far = np.array([100.0 * params.lengthscale, 0.0, 0.0])
-        np.testing.assert_allclose(predict(model, far), model.mean, atol=1e-6)
+        np.testing.assert_allclose(predict_many(model, far[None])[0], model.mean,
+                                   atol=1e-6)
 
     def test_noise_free_interpolation(self, rng):
         params = make_params(noise_var=0.0)
@@ -113,7 +123,8 @@ class TestPredict:
         m1 = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
         m2 = fit([Fingerprint(p + shift, b) for p, b in zip(pos, fields)], params)
         q = rng.uniform(0, 2, size=3)
-        np.testing.assert_allclose(predict(m1, q), predict(m2, q + shift),
+        np.testing.assert_allclose(predict_many(m1, q[None])[0],
+                                   predict_many(m2, (q + shift)[None])[0],
                                    atol=1e-9)
 
     def test_constant_offset_absorbed_by_mean(self, rng):
@@ -124,7 +135,8 @@ class TestPredict:
         m1 = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
         m2 = fit([Fingerprint(p, b + offset) for p, b in zip(pos, fields)], params)
         q = rng.uniform(-1, 3, size=3)
-        np.testing.assert_allclose(predict(m2, q), predict(m1, q) + offset,
+        np.testing.assert_allclose(predict_many(m2, q[None])[0],
+                                   predict_many(m1, q[None])[0] + offset,
                                    atol=1e-9)
 
     def test_holdout_rmse_on_dipole_field(self, rng):
@@ -148,6 +160,20 @@ class TestPredict:
         rmse = np.sqrt(np.mean((pred - ref)**2))
         assert rmse <= 3.0 * sigma
 
+    def test_blocks_match_unblocked_reference(self, rng):
+        # Two full blocks of 1024 rows plus a partial one of 7, then none.
+        params = make_params(lengthscale=0.6)
+        pos = rng.uniform(0, 3, size=(40, 3))
+        fields = rng.normal(size=(40, 3)) * 6 + 30
+        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
+        query = rng.uniform(-1, 4, size=(2 * 1024 + 7, 3))
+        d2 = np.sum((query[:, None, :] - pos[None, :, :])**2, axis=-1)
+        kstar = params.signal_var * np.exp(-d2 / (2.0 * params.lengthscale**2))
+        np.testing.assert_allclose(predict_many(model, query),
+                                   model.mean + kstar @ model.alpha,
+                                   rtol=1e-12, atol=1e-12)
+        assert predict_many(model, np.empty((0, 3))).shape == (0, 3)
+
 
 class TestBuildGrid:
     def test_zero_weights_give_uniform_map(self, rng):
@@ -168,8 +194,25 @@ class TestBuildGrid:
         for i in range(3):
             for j in range(3):
                 np.testing.assert_allclose(
-                    grid.values[i, j], predict(model, grid.node_position(i, j)),
+                    grid.values[i, j],
+                    predict_many(model, grid.node_position(i, j)[None])[0],
                     atol=1e-12)
+
+    def test_peak_memory_stays_blocked(self, rng):
+        # 15251 nodes against 917 points: the (m, n, 3) difference array
+        # alone would take 336 MB, one 1024-row kernel block takes 7.5 MB.
+        pos = np.column_stack([rng.uniform(0, 15, 917), rng.uniform(0, 10, 917),
+                               np.zeros(917)])
+        fields = rng.normal(size=(917, 3)) * 5 + 30
+        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)],
+                    make_params())
+        tracemalloc.start()
+        try:
+            build_grid(model, (0.0, 0.0), 0.1, 151, 101)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_save_load_round_trip(self, tmp_path, rng):
         from magloc.magmap import load_map, save_map

@@ -9,6 +9,14 @@ calibration subproblem is linear, so the RLS update is its exact
 least-squares solution over every frame so far; it replaces the paper's
 per-frame stochastic-gradient calibration step and seeds the next frame.
 
+The pose block evaluates the map once per iterate.  The calibrated
+readings H theta are fixed for the whole block and computed once.  Each
+line-search trial builds its candidate pose exactly as the next iterate
+would be built and keeps the sensor poses, map fields and residual it
+evaluated; the accepted trial becomes the next iterate, so a Gauss-Newton
+step adds only the Jacobian's gradient lookup.  The Jacobian takes its
+pose-independent factors from the window snapshot.
+
 The reference pose is substituted and flagged when the pose step fails:
 the pooled residual ends above the configured threshold, or a map query
 leaves the mapped region.  A stalled line search is not a failure; the
@@ -22,11 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError
-from .geom import (PosePerturbation, PoseState, boxplus, exp_so3, log_so3,
-                   skew_many)
+# boxplus is no longer called here; the name stays bound for tools that
+# patch this module's names to trace it.
+from .geom import (PosePerturbation, PoseState, boxplus, exp_so3,  # noqa: F401
+                   log_so3, skew_many)
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
 from .sim import DatasetFrame, identity_theta
-from .window import SlidingWindow, WindowSnapshot, regressor
+from .window import SlidingWindow, WindowSnapshot, regressor, sensor_poses
 
 STATE_DIM = 6  # [dp, dphi]
 
@@ -53,6 +63,20 @@ class SolverConfig:
     def __post_init__(self):
         if not any(self.state_mask):
             raise ConfigurationError("state mask disables every dimension")
+        # Written as "not (ok)" so that NaN fails too.
+        for name in ("max_alternations", "gn_iters_per_round"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or not value >= 1):
+                raise ConfigurationError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        # meas_sigma defaults to the scenario's noise level, which is 0 for
+        # a noiseless dataset, so 0 stays allowed.
+        for name in ("window_m", "gn_damping", "pose_tol_m", "pose_tol_rad",
+                     "meas_sigma"):
+            if not getattr(self, name) >= 0.0:
+                raise ConfigurationError(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def divergence_threshold(self, n_sensors: int, window_len: int) -> float:
         if self.divergence_residual is not None:
@@ -71,32 +95,27 @@ def _as_snapshot(window) -> WindowSnapshot:
 
 def _fields_at_rp(snap: WindowSnapshot, r_body: np.ndarray, p_body: np.ndarray,
                   grid: MagneticGridMap):
-    rotations = np.matmul(r_body, snap.rel_ext_rotations)
-    positions = np.matmul(r_body, snap.body_offsets[..., None])[..., 0] + p_body
+    """Sensor poses plus the body-frame map field R^T M at each of them."""
+    rotations, positions = sensor_poses(snap, r_body, p_body)
     m = interpolate_many(grid, positions.reshape(-1, 3)).reshape(positions.shape)
-    # R^T M, the body-frame map field
-    g = np.matmul(rotations.swapaxes(-1, -2), m[..., None])[..., 0]
-    return rotations, positions, m, g
+    g = np.einsum("...ji,...j->...i", rotations, m)
+    return rotations, positions, g
 
 
-def _fields_at(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap):
-    """Sensor poses plus interpolated map fields, shared by all ops."""
-    return _fields_at_rp(snap, x.rotation(), x.position, grid)
-
-
-def _residual_all(snap: WindowSnapshot, thetas: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0] - g
+def _predictions(snap: WindowSnapshot, thetas: np.ndarray) -> np.ndarray:
+    """Calibrated readings H theta of every (entry, sensor), (J, N, 3)."""
+    return np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
 
 
 def pose_residual(window, theta: np.ndarray, x: PoseState,
                   grid: MagneticGridMap, sensor: int) -> np.ndarray:
     """Stacked (3*J,) residual of one sensor at the current state."""
     snap = _as_snapshot(window)
-    _, _, _, g = _fields_at(snap, x, grid)
+    _, _, g = _fields_at_rp(snap, x.rotation(), x.position, grid)
     return (snap.regressors[:, sensor] @ theta - g[:, sensor]).ravel()
 
 
-def _jacobian_all(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap,
+def _jacobian_all(snap: WindowSnapshot, grid: MagneticGridMap,
                   rotations: np.ndarray, positions: np.ndarray,
                   rtm: np.ndarray, r_body: np.ndarray) -> np.ndarray:
     """Pose Jacobian blocks for every (entry, sensor), shape (J, N, 3, 6).
@@ -105,16 +124,16 @@ def _jacobian_all(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap,
     the translation block is -R^T grad(M); the rotation block carries the
     frame conjugation and the lever arm of each accumulated sensor pose,
         -[R^T M]x A^T + R^T grad(M) R_body [c]x
-    with A = R_body^T R and c = R_body^T (p - p_body).  For the newest
-    entry of a sensor with zero offset this reduces to -[R^T M]x.
+    with A = R_body^T R and c = R_body^T (p - p_body), which are the
+    snapshot's rel_ext_rotations and body_offsets.  For the newest entry of
+    a sensor with zero offset this reduces to -[R^T M]x.
     """
     grads = gradient_many(grid, positions.reshape(-1, 3)).reshape(
         positions.shape[:2] + (3, 3))
     rtg = np.matmul(rotations.swapaxes(-1, -2), grads)  # R^T grad(M)
-    a = np.matmul(r_body.T, rotations)  # R_body^T R
-    c = np.matmul(r_body.T, (positions - x.position)[..., None])[..., 0]
-    j_rot = (-np.matmul(skew_many(rtm), a.swapaxes(-1, -2))
-             + np.matmul(np.matmul(rtg, r_body), skew_many(c)))
+    rtg_rb = (rtg.reshape(-1, 3) @ r_body).reshape(rtg.shape)
+    j_rot = (-np.matmul(skew_many(rtm), snap.rel_ext_rotations.swapaxes(-1, -2))
+             + np.matmul(rtg_rb, skew_many(snap.body_offsets)))
     out = np.empty(positions.shape[:2] + (3, 6))
     out[..., :3] = -rtg
     out[..., 3:] = j_rot
@@ -125,24 +144,24 @@ def pose_jacobian(window, x: PoseState, grid: MagneticGridMap,
                   sensor: int) -> np.ndarray:
     """Stacked (3*J, 6) pose Jacobian of one sensor; see _jacobian_all."""
     snap = _as_snapshot(window)
-    rotations, positions, _, g = _fields_at(snap, x, grid)
-    return _jacobian_all(snap, x, grid, rotations, positions, g,
-                         x.rotation())[:, sensor].reshape(-1, 6)
+    r_body = x.rotation()
+    rotations, positions, g = _fields_at_rp(snap, r_body, x.position, grid)
+    return _jacobian_all(snap, grid, rotations, positions, g,
+                         r_body)[:, sensor].reshape(-1, 6)
 
 
-def gauss_newton_step(residuals, jacobians, mask, damping: float,
+def gauss_newton_step(residual, jacobian, mask, damping: float,
                       trial_norm_fn=None) -> tuple:
-    """Masked, damped normal-equation step over pooled sensor residuals.
+    """Masked, damped normal-equation step for one stacked residual.
 
-    residuals/jacobians are per-sensor stacks ((3J,) and (3J, 6)).  When
-    trial_norm_fn is given the step is halved (up to 4 times) until the
-    pooled residual norm decreases; if it never does, a zero step is
-    returned with the stall flag set.
+    residual is (m,) and jacobian (m, 6).  When trial_norm_fn is given the
+    step is halved (up to 4 times) until the residual norm decreases; if it
+    never does, a zero step is returned with the stall flag set.  The
+    accepted step is always the last one passed to trial_norm_fn.
     """
-    r = np.concatenate([np.ravel(v) for v in residuals])
-    j = np.vstack([np.reshape(v, (-1, STATE_DIM)) for v in jacobians])
+    r = np.ravel(residual)
     idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    jm = j[:, idx]
+    jm = np.reshape(jacobian, (-1, STATE_DIM))[:, idx]
     normal = jm.T @ jm + damping * np.eye(len(idx))
     rhs = -(jm.T @ r)
     try:
@@ -173,9 +192,25 @@ class AlternateResult:
     residual_norm: float
 
 
-def _pooled_norm(snap, thetas, x, grid):
-    _, _, _, g = _fields_at(snap, x, grid)
-    return float(np.linalg.norm(_residual_all(snap, thetas, g)))
+@dataclass
+class _Iterate:
+    """A pose with everything one map evaluation gives at it."""
+
+    x: PoseState
+    r_body: np.ndarray  # x.rotation()
+    rotations: np.ndarray  # (J, N, 3, 3) sensor rotations
+    positions: np.ndarray  # (J, N, 3) sensor positions
+    g: np.ndarray  # (J, N, 3) body-frame map field R^T M
+    residual: np.ndarray  # (J, N, 3)
+    norm: float
+
+
+def _evaluate(snap: WindowSnapshot, pred: np.ndarray, x: PoseState,
+              r_body: np.ndarray, grid: MagneticGridMap) -> _Iterate:
+    rotations, positions, g = _fields_at_rp(snap, r_body, x.position, grid)
+    residual = pred - g
+    return _Iterate(x, r_body, rotations, positions, g, residual,
+                    float(np.linalg.norm(residual)))
 
 
 def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
@@ -187,57 +222,65 @@ def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
     gn_iters_per_round pooled pose steps.  A stalled line search ends its
     round; the loop stops early once a round's last accepted step (zero if
     none) falls under both pose tolerances.
+
+    Each iterate costs one map evaluation.  A line-search trial builds its
+    candidate exactly as the next iterate: p + dp, and the orientation
+    log(R_body exp(dphi)) re-expanded to a rotation.  The accepted trial's
+    fields and residual become the next iterate, so a Gauss-Newton step
+    only adds the Jacobian's gradient lookup, and the returned
+    residual_norm is the pooled norm at the returned pose.
     """
     snap = _as_snapshot(window)
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
-    x = x_prior.copy()
+    pred = _predictions(snap, thetas)  # fixed while the calibration is
     mask = np.asarray(config.state_mask, dtype=bool)
 
     stalled = False
     rounds = 0
+    x = x_prior.copy()
     try:
+        it = _evaluate(snap, pred, x, x.rotation(), grid)
         for rounds in range(1, config.max_alternations + 1):
             dp_norm = 0.0
             dphi_norm = 0.0
             for _ in range(config.gn_iters_per_round):
-                r_body = x.rotation()
-                rotations, positions, _, g = _fields_at_rp(snap, r_body,
-                                                           x.position, grid)
-                resid = _residual_all(snap, thetas, g)
-                jac = _jacobian_all(snap, x, grid, rotations, positions, g,
-                                    r_body)
+                jac = _jacobian_all(snap, grid, it.rotations, it.positions,
+                                    it.g, it.r_body)
+                tried = []
 
-                def trial_norm(dx, _snap=snap, _thetas=thetas, _x=x,
-                               _r_body=r_body):
+                def trial_norm(dx, _it=it, _tried=tried):
+                    position = _it.x.position + dx.dp
+                    if np.any(dx.dphi):
+                        x_t = PoseState(position,
+                                        log_so3(_it.r_body @ exp_so3(dx.dphi)))
+                        r_t = x_t.rotation()
+                    else:
+                        x_t = PoseState(position, _it.x.orientation.copy())
+                        r_t = _it.r_body
                     try:
-                        r_trial = (_r_body @ exp_so3(dx.dphi)
-                                   if np.any(dx.dphi) else _r_body)
-                        _, _, _, g_t = _fields_at_rp(_snap, r_trial,
-                                                     _x.position + dx.dp, grid)
-                        return float(np.linalg.norm(
-                            _residual_all(_snap, _thetas, g_t)))
+                        _tried.append(_evaluate(snap, pred, x_t, r_t, grid))
                     except OutOfMapError:
                         return None
+                    return _tried[-1].norm
 
-                # Pooling over sensors == stacking all residual blocks.
                 dx, step_stalled = gauss_newton_step(
-                    [resid.reshape(-1)], [jac.reshape(-1, STATE_DIM)],
+                    it.residual.reshape(-1), jac.reshape(-1, STATE_DIM),
                     mask, config.gn_damping, trial_norm)
                 if step_stalled:
                     stalled = True
                     break
-                x = boxplus(x, dx)
+                it = tried[-1]
+                x = it.x
                 dp_norm = dx.norm_translation()
                 dphi_norm = dx.norm_rotation()
             if dp_norm < config.pose_tol_m and dphi_norm < config.pose_tol_rad:
                 break
-        residual_norm = _pooled_norm(snap, thetas, x, grid)
     except OutOfMapError:
         return AlternateResult(x, True, stalled, rounds, np.inf)
 
     threshold = config.divergence_threshold(snap.n_sensors, len(snap))
-    diverged = bool(residual_norm > threshold)
-    return AlternateResult(x, diverged, stalled, rounds, residual_norm)
+    diverged = bool(it.norm > threshold)
+    return AlternateResult(x, diverged, stalled, rounds, it.norm)
 
 
 @dataclass

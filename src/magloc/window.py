@@ -5,13 +5,18 @@ newest frame, so the window re-expresses the whole accumulated sequence at
 the current time: on every push the existing entries are pre-composed with
 the inverse of the new odometry increment and entries that have fallen
 more than the horizon behind are evicted.
+
+The entries are stored as stacked arrays, oldest first, one row per
+entry.  A push costs a fixed number of numpy calls whatever the window
+length: one batched matmul composes every entry with the inverse
+increment, a boolean mask evicts, and one concatenation per array appends
+the new entry.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import PoseState, RigidTransform, compose, inverse
 from .sim import DatasetFrame
 
 # Below these increments a frame replaces the newest entry instead of
@@ -46,15 +51,6 @@ def regressor_many(b: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class WindowEntry:
-    rel_pose: RigidTransform  # pose of this entry's frame in the newest frame
-    regressors: np.ndarray  # (N, 3, 12)
-    readings: np.ndarray  # (N, 3) raw
-    traveled_dist_from_current: float
-    timestamp: float
-
-
-@dataclass
 class WindowSnapshot:
     """Immutable stacked copy of the window state, oldest entry first.
 
@@ -82,75 +78,85 @@ class WindowSnapshot:
 
 
 class SlidingWindow:
-    """Single-writer accumulation buffer; snapshots are safe to share."""
+    """Single-writer accumulation buffer; snapshots are safe to share.
+
+    Row j of each array describes entry j, oldest first:
+    rel_rotations (J, 3, 3) and rel_translations (J, 3) hold the pose of
+    its frame in the newest frame, regressors (J, N, 3, 12) and readings
+    (J, N, 3) its measurements, traveled (J,) the distance traveled since
+    it and timestamps (J,) its time.
+    """
 
     def __init__(self, horizon_m: float, extrinsics):
         if horizon_m < 0.0:
             raise ValueError("horizon must be non-negative")
         self.horizon_m = float(horizon_m)
-        self.extrinsics = list(extrinsics)
-        self.entries: list[WindowEntry] = []
+        self.extrinsic_rotations = np.stack([e.rotation for e in extrinsics])
+        self.extrinsic_translations = np.stack(
+            [e.translation for e in extrinsics])
+        n = len(self.extrinsic_rotations)
+        self.rel_rotations = np.empty((0, 3, 3))
+        self.rel_translations = np.empty((0, 3))
+        self.regressors = np.empty((0, n, 3, 12))
+        self.readings = np.empty((0, n, 3))
+        self.traveled = np.empty(0)
+        self.timestamps = np.empty(0)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.timestamps)
 
     def push(self, frame: DatasetFrame) -> None:
         """Ingest a frame: shift existing entries backward, then append."""
-        if self.entries and frame.t <= self.entries[-1].timestamp:
+        if len(self) and frame.t <= self.timestamps[-1]:
             raise ValueError(
-                f"non-monotone timestamp {frame.t} <= {self.entries[-1].timestamp}")
+                f"non-monotone timestamp {frame.t} <= {self.timestamps[-1]}")
         dr = frame.odom_rotation()
         dp = np.asarray(frame.odom_dp, dtype=float)
         step_len = float(np.linalg.norm(dp))
         rot_angle = float(np.arccos(np.clip((np.trace(dr) - 1.0) / 2.0, -1.0, 1.0)))
-        regressors = np.stack([regressor(b) for b in frame.readings])
+        readings = np.array(frame.readings, dtype=float)
+        regressors = regressor_many(readings)
 
-        stationary = (self.entries and step_len < STATIONARY_TRANS
-                      and rot_angle < STATIONARY_ROT)
-        if stationary:
-            newest = self.entries[-1]
-            newest.regressors = regressors
-            newest.readings = np.array(frame.readings, dtype=float)
-            newest.timestamp = frame.t
+        if (len(self) and step_len < STATIONARY_TRANS
+                and rot_angle < STATIONARY_ROT):
+            self.regressors[-1] = regressors
+            self.readings[-1] = readings
+            self.timestamps[-1] = frame.t
             return
 
-        inv_step = inverse(RigidTransform(dr, dp))
-        survivors = []
-        for entry in self.entries:
-            dist = entry.traveled_dist_from_current + step_len
-            if dist > self.horizon_m:
-                continue
-            survivors.append(WindowEntry(
-                rel_pose=compose(inv_step, entry.rel_pose),
-                regressors=entry.regressors,
-                readings=entry.readings,
-                traveled_dist_from_current=dist,
-                timestamp=entry.timestamp,
-            ))
-        survivors.append(WindowEntry(
-            rel_pose=RigidTransform.identity(),
-            regressors=regressors,
-            readings=np.array(frame.readings, dtype=float),
-            traveled_dist_from_current=0.0,
-            timestamp=frame.t,
-        ))
-        self.entries = survivors
+        traveled = self.traveled + step_len
+        keep = traveled <= self.horizon_m
+        # Pre-compose every survivor with the inverse increment
+        # (dR^T, -dR^T dp): R <- dR^T R, p <- dR^T p - dR^T dp.
+        inv_r = dr.T
+        rel_r = np.matmul(inv_r, self.rel_rotations[keep])
+        rel_p = self.rel_translations[keep] @ dr - inv_r @ dp
+        self.rel_rotations = np.concatenate([rel_r, np.eye(3)[None]])
+        self.rel_translations = np.concatenate([rel_p, np.zeros((1, 3))])
+        self.regressors = np.concatenate(
+            [self.regressors[keep], regressors[None]])
+        self.readings = np.concatenate([self.readings[keep], readings[None]])
+        self.traveled = np.append(traveled[keep], 0.0)
+        self.timestamps = np.append(self.timestamps[keep], frame.t)
 
     def snapshot(self) -> WindowSnapshot:
-        if not self.entries:
+        if not len(self):
             raise ValueError("window is empty")
-        rel_r = np.stack([e.rel_pose.rotation for e in self.entries])
-        rel_p = np.stack([e.rel_pose.translation for e in self.entries])
-        ext_r = np.stack([e.rotation for e in self.extrinsics])
-        ext_p = np.stack([e.translation for e in self.extrinsics])
-        rel_ext_r = np.matmul(rel_r[:, None], ext_r[None, :])
+        rel_r = self.rel_rotations.copy()
+        rel_p = self.rel_translations.copy()
+        ext_r = self.extrinsic_rotations.copy()
+        ext_p = self.extrinsic_translations.copy()
+        # relR @ extR, laid out transposed in memory: sensor_poses and the
+        # pose Jacobian work with its transpose, which is then contiguous.
+        rel_ext_r = np.matmul(ext_r.swapaxes(-1, -2)[None],
+                              rel_r.swapaxes(-1, -2)[:, None]).swapaxes(-1, -2)
         offsets = rel_p[:, None, :] + np.matmul(
             rel_r[:, None], ext_p[None, :, :, None])[..., 0]
         return WindowSnapshot(
             rel_rotations=rel_r,
             rel_translations=rel_p,
-            regressors=np.stack([e.regressors for e in self.entries]),
-            readings=np.stack([e.readings for e in self.entries]),
+            regressors=self.regressors.copy(),
+            readings=self.readings.copy(),
             extrinsic_rotations=ext_r,
             extrinsic_translations=ext_p,
             rel_ext_rotations=rel_ext_r,
@@ -158,13 +164,19 @@ class SlidingWindow:
         )
 
 
-def sensor_poses(snap: WindowSnapshot, x: PoseState) -> tuple:
-    """World pose of every (entry, sensor) pair under the state x.
+def sensor_poses(snap: WindowSnapshot, r_body: np.ndarray,
+                 p_body: np.ndarray) -> tuple:
+    """World pose of every (entry, sensor) pair under the body pose
+    (r_body, p_body).
 
     Returns rotations (J, N, 3, 3) and positions (J, N, 3):
         R = R_body @ relR @ extR,  p = R_body @ (relp + relR @ extp) + p_body.
+    Each is one matrix product over all pairs.  The rotations are a
+    transposed view of a contiguous stack of R^T, the form the estimator
+    uses.
     """
-    r_body = x.rotation()
-    rotations = np.matmul(r_body, snap.rel_ext_rotations)
-    positions = np.matmul(r_body, snap.body_offsets[..., None])[..., 0] + x.position
-    return rotations, positions
+    rel_ext_t = snap.rel_ext_rotations.swapaxes(-1, -2)
+    rotations_t = (rel_ext_t.reshape(-1, 3) @ r_body.T).reshape(rel_ext_t.shape)
+    offsets = snap.body_offsets
+    positions = (offsets.reshape(-1, 3) @ r_body.T).reshape(offsets.shape) + p_body
+    return rotations_t.swapaxes(-1, -2), positions

@@ -245,6 +245,27 @@ class TestPipeline:
         assert "eta" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("solver, flags, name", [
+        ({}, ["--window-m", "-1"], "window_m"),
+        ({"window_m": float("nan")}, [], "window_m"),
+        ({"max_alternations": 0}, [], "max_alternations"),
+        ({"max_alternations": 2.5}, [], "max_alternations"),
+        ({"gn_iters_per_round": 0}, [], "gn_iters_per_round"),
+        ({"gn_damping": -1.0}, [], "gn_damping"),
+        ({"pose_tol_m": -1e-4}, [], "pose_tol_m"),
+        ({"pose_tol_rad": -1e-4}, [], "pose_tol_rad"),
+        ({"meas_sigma": -1.0}, [], "meas_sigma"),
+    ])
+    def test_bad_solver_value_exit_2_before_any_write(self, tmp_path, capsys,
+                                                      solver, flags, name):
+        path = tmp_path / "bad.json"
+        scenario.save_config(small_config(solver=solver), path)
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out),
+                     *flags]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_end_to_end_determinism(self, tmp_path, config_path):
         outs = []
         for name in ("p1", "p2"):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from magloc import estimator
 from magloc.errors import DatasetSchemaError
-from magloc.estimator import (RlsState, SolverConfig, alternate,
+from magloc.estimator import (MASK_FULL, MASK_PLANAR, MASK_PLANAR_XY,
+                              RlsState, SolverConfig, alternate,
                               gauss_newton_step, pose_jacobian, pose_residual,
                               rls_update, run, summary_dict)
 from magloc.geom import PosePerturbation, PoseState, boxplus, skew
-from magloc.magmap import MagneticGridMap, DipoleSource, FieldModel, rasterize
+from magloc.magmap import (MagneticGridMap, DipoleSource, FieldModel,
+                           interpolate_many, rasterize)
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         identity_theta, quat_from_rotation, sample_distortions)
-from magloc.window import SlidingWindow, regressor
+from magloc.window import SlidingWindow, regressor, sensor_poses
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -78,14 +81,13 @@ class TestPoseResidual:
     def test_affine_translation_prediction(self, rng):
         # Moving the state by dp changes each residual row by -R^T A dp.
         a, c, grid, rig, calibs, _, w, x_gt = affine_setup(rng)
-        from magloc.window import sensor_poses
         snap = w.snapshot()
         dp = np.array([grid.resolution, 0.0, 0.0])
         sensor = 2
         r0 = pose_residual(w, calibs[sensor].theta(), x_gt, grid, sensor)
         x1 = boxplus(x_gt, PosePerturbation(dp=dp))
         r1 = pose_residual(w, calibs[sensor].theta(), x1, grid, sensor)
-        rot, _ = sensor_poses(snap, x_gt)
+        rot, _ = sensor_poses(snap, x_gt.rotation(), x_gt.position)
         predicted = np.concatenate([
             -(rot[j, sensor].T @ a @ dp) for j in range(len(snap))])
         np.testing.assert_allclose(r1 - r0, predicted, atol=1e-9)
@@ -167,8 +169,7 @@ class TestPoseJacobian:
 class TestGaussNewtonStep:
     def test_zero_residual_zero_step(self, rng):
         jac = rng.normal(size=(12, 6))
-        dx, stalled = gauss_newton_step([np.zeros(12)], [jac],
-                                        (True,) * 6, 1e-9)
+        dx, stalled = gauss_newton_step(np.zeros(12), jac, (True,) * 6, 1e-9)
         assert not stalled
         assert dx.norm_translation() < 1e-9
         assert dx.norm_rotation() < 1e-9
@@ -180,7 +181,7 @@ class TestGaussNewtonStep:
         target = rng.normal(size=6) * 0.1
         resid = jac @ (-target)  # r(dx) = J (dx - target)
         expected = np.linalg.solve(jac.T @ jac, jac.T @ (-resid))
-        dx, stalled = gauss_newton_step([resid], [jac], (True,) * 6, 0.0)
+        dx, stalled = gauss_newton_step(resid, jac, (True,) * 6, 0.0)
         assert not stalled
         got = np.concatenate([dx.dp, dx.dphi])
         np.testing.assert_allclose(got, expected, atol=1e-9)
@@ -189,7 +190,7 @@ class TestGaussNewtonStep:
     def test_masking(self, rng):
         jac = rng.normal(size=(30, 6))
         resid = rng.normal(size=30)
-        dx, _ = gauss_newton_step([resid], [jac],
+        dx, _ = gauss_newton_step(resid, jac,
                                   (True, False, False, False, False, False), 1e-9)
         assert dx.dp[1] == 0.0 and dx.dp[2] == 0.0
         assert np.all(dx.dphi == 0.0)
@@ -199,20 +200,27 @@ class TestGaussNewtonStep:
         jac = rng.normal(size=(12, 6))
         resid = rng.normal(size=12)
         # A trial function that never improves forces the stall path.
-        dx, stalled = gauss_newton_step([resid], [jac], (True,) * 6, 1e-9,
+        dx, stalled = gauss_newton_step(resid, jac, (True,) * 6, 1e-9,
                                         trial_norm_fn=lambda dx: np.inf)
         assert stalled
         assert dx.norm_translation() == 0.0
 
     def test_pooling_matches_stacking(self, rng):
-        jacs = [rng.normal(size=(9, 6)) for _ in range(3)]
-        resids = [rng.normal(size=9) for _ in range(3)]
-        dx_pooled, _ = gauss_newton_step(resids, jacs, (True,) * 6, 1e-8)
-        dx_stacked, _ = gauss_newton_step([np.concatenate(resids)],
-                                          [np.vstack(jacs)], (True,) * 6, 1e-8)
-        np.testing.assert_allclose(
-            np.concatenate([dx_pooled.dp, dx_pooled.dphi]),
-            np.concatenate([dx_stacked.dp, dx_stacked.dphi]), atol=1e-12)
+        # Independent oracle: the damped normal equations restricted to the
+        # masked columns, solved densely; masked-out entries stay zero.
+        jac = rng.normal(size=(27, 6))
+        resid = rng.normal(size=27)
+        damping = 1e-3
+        for mask in (MASK_FULL, MASK_PLANAR, MASK_PLANAR_XY):
+            keep = np.array(mask)
+            jm = jac[:, keep]
+            expected = np.zeros(6)
+            expected[keep] = np.linalg.solve(
+                jm.T @ jm + damping * np.eye(keep.sum()), -jm.T @ resid)
+            dx, stalled = gauss_newton_step(resid, jac, mask, damping)
+            assert not stalled
+            np.testing.assert_allclose(np.concatenate([dx.dp, dx.dphi]),
+                                       expected, rtol=0, atol=1e-12)
 
 
 class TestAlternate:
@@ -270,6 +278,94 @@ class TestAlternate:
         np.testing.assert_allclose(permuted.x.position, base.x.position, atol=1e-10)
         np.testing.assert_allclose(permuted.x.orientation, base.x.orientation,
                                    atol=1e-10)
+
+    @staticmethod
+    def _dipole_window(n_frames=30, window_m=1.0):
+        # Distorted, noisy readings against a dipole map: the line search
+        # halves some steps and stalls others.
+        field, grid = dipole_world()
+        poses = generate_trajectory([[1.0, 1.0], [5.0, 1.0], [5.0, 4.0]],
+                                    0.5, 10.0)
+        rig = default_rig()
+        calibs = sample_distortions(len(rig), np.random.default_rng(5))
+        frames = build_dataset(field, poses, 10.0, rig, calibs,
+                               NoiseConfig(), np.random.default_rng(6))
+        w = SlidingWindow(window_m, rig)
+        for frame in frames[:n_frames]:
+            w.push(frame)
+        thetas = np.stack([c.theta() for c in calibs])
+        return grid, w, thetas, frames[n_frames - 1].gt_pose()
+
+    def test_residual_norm_is_pooled_norm_at_returned_pose(self):
+        # The returned norm is the one evaluated at the returned pose, not
+        # that of an earlier iterate or of a rejected trial: recomputing
+        # the pooled residual there reproduces it bit for bit.
+        grid, w, thetas, x_gt = self._dipole_window()
+        snap = w.snapshot()
+        for mask in (MASK_PLANAR, MASK_PLANAR_XY, MASK_FULL):
+            for offset in ([0.03, -0.02, 0.0, 0.0, 0.0, 0.02],
+                           [-0.06, 0.04, 0.0, 0.01, -0.01, -0.05]):
+                cfg = SolverConfig(state_mask=mask, divergence_residual=np.inf)
+                x0 = boxplus(x_gt, PosePerturbation(np.array(offset[:3]),
+                                                    np.array(offset[3:])))
+                result = alternate(w, thetas, x0, grid, cfg)
+                rot, pos = sensor_poses(snap, result.x.rotation(),
+                                        result.x.position)
+                m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
+                g = np.einsum("...ji,...j->...i", rot, m)
+                pred = np.matmul(snap.regressors,
+                                 thetas[None, :, :, None])[..., 0]
+                assert result.residual_norm == float(np.linalg.norm(pred - g))
+
+    def test_one_map_evaluation_per_iterate(self, monkeypatch):
+        # One field lookup for the prior plus one per line-search trial, and
+        # one gradient lookup per Gauss-Newton step.  The accepted trial,
+        # the last one tried, is the next iterate: the next step starts
+        # from its residual norm, and the last one is returned.
+        counts = {"field": 0, "gradient": 0, "steps": 0, "trials": 0}
+        steps = []  # (norm of the step's residual, trial norms, stalled)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        gn_step = estimator.gauss_newton_step
+
+        def counted_step(residual, jacobian, mask, damping, trial_norm_fn=None):
+            counts["steps"] += 1
+            norms = []
+
+            def trial(dx):
+                norms.append(counted("trials", trial_norm_fn)(dx))
+                return norms[-1]
+
+            dx, stalled = gn_step(residual, jacobian, mask, damping, trial)
+            steps.append((float(np.linalg.norm(residual)), norms, stalled))
+            return dx, stalled
+
+        monkeypatch.setattr(estimator, "interpolate_many",
+                            counted("field", estimator.interpolate_many))
+        monkeypatch.setattr(estimator, "gradient_many",
+                            counted("gradient", estimator.gradient_many))
+        monkeypatch.setattr(estimator, "gauss_newton_step", counted_step)
+        grid, w, thetas, x_gt = self._dipole_window()
+        x0 = boxplus(x_gt, PosePerturbation(np.array([-0.06, 0.04, 0.0]),
+                                            np.array([0.0, 0.0, -0.05])))
+        result = alternate(w, thetas, x0, grid,
+                           SolverConfig(divergence_residual=np.inf))
+        # The case exercises several steps and at least one halving.
+        assert counts["steps"] > 1
+        assert counts["trials"] > counts["steps"]
+        assert counts["field"] == 1 + counts["trials"]
+        assert counts["gradient"] == counts["steps"]
+        assert any(len(norms) > 1 and not stalled for _, norms, stalled in steps)
+        current = steps[0][0]
+        for base, norms, stalled in steps:
+            assert base == current
+            current = base if stalled else norms[-1]
+        assert result.residual_norm == current
 
     def test_divergence_on_out_of_map(self, rng):
         _, _, grid, rig, calibs, _, w, x_gt = affine_setup(rng, distorted=False)

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magloc.geom import PoseState, exp_so3
+from magloc.geom import PoseState, RigidTransform, compose, exp_so3, inverse
 from magloc.magmap import FieldModel, DipoleSource
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         quat_from_rotation, sensor_world_poses)
-from magloc.window import SlidingWindow, regressor, regressor_many, sensor_poses
+from magloc.window import (STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow,
+                           regressor, regressor_many, sensor_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -76,20 +79,17 @@ class TestPush:
         w = SlidingWindow(0.5, default_rig()[:1])
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
         assert len(w) == 1
-        entry = w.entries[0]
-        np.testing.assert_array_equal(entry.rel_pose.rotation, np.eye(3))
-        np.testing.assert_array_equal(entry.rel_pose.translation, np.zeros(3))
-        assert entry.traveled_dist_from_current == 0.0
+        np.testing.assert_array_equal(w.rel_rotations[0], np.eye(3))
+        np.testing.assert_array_equal(w.rel_translations[0], np.zeros(3))
+        assert w.traveled[0] == 0.0
 
     def test_two_pushes_pure_translation(self):
         w = SlidingWindow(5.0, default_rig()[:1])
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
         w.push(frame_of(0.1, np.eye(3), [1.0, 0, 0], np.zeros((1, 3))))
-        older = w.entries[0]
-        np.testing.assert_allclose(older.rel_pose.translation, [-1.0, 0, 0],
+        np.testing.assert_allclose(w.rel_translations[0], [-1.0, 0, 0],
                                    atol=1e-12)
-        np.testing.assert_array_equal(w.entries[1].rel_pose.translation,
-                                      np.zeros(3))
+        np.testing.assert_array_equal(w.rel_translations[1], np.zeros(3))
 
     def test_matrix_chain_oracle(self, rng):
         # Five mixed increments: the stored backward poses must equal the
@@ -104,7 +104,7 @@ class TestPush:
         for k, (dr, dp) in enumerate(increments):
             w.push(frame_of(0.1 * (k + 1), dr, dp, np.zeros((1, 3))))
         k = len(increments)
-        for j_entry, entry in enumerate(w.entries):
+        for j_entry in range(len(w)):
             # Literal product form (increments[m-1] is the step into frame m):
             #   R = dR_k^T dR_{k-1}^T ... dR_{j+1}^T
             #   p = -sum_{m=j+1..k} (prod_{n=k..m+1} dR_n^T) dR_m^T dp_m
@@ -117,8 +117,8 @@ class TestPush:
                 dr_m, dp_m = increments[m - 1]
                 exp_p = exp_p - prefix @ dr_m.T @ dp_m
                 exp_r = prefix @ dr_m.T
-            np.testing.assert_allclose(entry.rel_pose.rotation, exp_r, atol=1e-9)
-            np.testing.assert_allclose(entry.rel_pose.translation, exp_p,
+            np.testing.assert_allclose(w.rel_rotations[j_entry], exp_r, atol=1e-9)
+            np.testing.assert_allclose(w.rel_translations[j_entry], exp_p,
                                        atol=1e-9)
 
     def test_backward_pose_consistency(self, rng):
@@ -140,20 +140,19 @@ class TestPush:
             r = r @ dr
             world.append((r.copy(), p.copy()))
         rk, pk = world[-1]
-        for j, entry in enumerate(w.entries):
+        for j in range(len(w)):
             rj, pj = world[j]
             # world_j composed from world_k and the backward rel pose.
-            np.testing.assert_allclose(rk @ entry.rel_pose.rotation, rj,
-                                       atol=1e-9)
+            np.testing.assert_allclose(rk @ w.rel_rotations[j], rj, atol=1e-9)
             np.testing.assert_allclose(
-                rk @ entry.rel_pose.translation + pk, pj, atol=1e-9)
+                rk @ w.rel_translations[j] + pk, pj, atol=1e-9)
 
     def test_eviction_by_distance(self):
         w = SlidingWindow(0.25, default_rig()[:1])
         for k in range(6):
             w.push(frame_of(0.1 * k, np.eye(3), [0.1, 0, 0] if k else [0, 0, 0],
                             np.zeros((1, 3))))
-        dists = [e.traveled_dist_from_current for e in w.entries]
+        dists = w.traveled
         assert max(dists) <= 0.25 + 1e-12
         assert dists[-1] == 0.0
         # horizon 0.25 at 0.1 m steps keeps distances {0.2, 0.1, 0}.
@@ -164,8 +163,10 @@ class TestPush:
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.array([[1.0, 2, 3]])))
         w.push(frame_of(0.1, np.eye(3), [1e-6, 0, 0], np.array([[4.0, 5, 6]])))
         assert len(w) == 1
-        np.testing.assert_array_equal(w.entries[0].readings, [[4.0, 5, 6]])
-        assert w.entries[0].timestamp == 0.1
+        np.testing.assert_array_equal(w.readings[0], [[4.0, 5, 6]])
+        np.testing.assert_array_equal(w.regressors[0, 0],
+                                      regressor(np.array([4.0, 5, 6])))
+        assert w.timestamps[0] == 0.1
 
     def test_non_monotone_rejected(self):
         w = SlidingWindow(0.5, default_rig()[:1])
@@ -179,7 +180,7 @@ class TestPush:
             w.push(frame_of(0.1 * k, np.eye(3), [0.05, 0, 0] if k else [0, 0, 0],
                             np.zeros((1, 3))))
         assert len(w) == 1
-        assert w.entries[0].traveled_dist_from_current == 0.0
+        assert w.traveled[0] == 0.0
 
 
 class TestSensorPoses:
@@ -187,7 +188,7 @@ class TestSensorPoses:
         rig = default_rig()
         w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((len(rig), 3))))
-        rot, pos = sensor_poses(w.snapshot(), PoseState.identity())
+        rot, pos = sensor_poses(w.snapshot(), np.eye(3), np.zeros(3))
         assert rot.shape == (1, len(rig), 3, 3)
         for i, ext in enumerate(rig):
             np.testing.assert_allclose(pos[0, i], ext.translation, atol=1e-12)
@@ -200,7 +201,7 @@ class TestSensorPoses:
         yaw = 0.7
         x = PoseState(np.array([2.0, -1.0, 0.0]), np.array([0, 0, yaw]))
         rz = exp_so3(np.array([0, 0, yaw]))
-        _, pos = sensor_poses(w.snapshot(), x)
+        _, pos = sensor_poses(w.snapshot(), x.rotation(), x.position)
         for i, ext in enumerate(rig):
             np.testing.assert_allclose(pos[0, i], rz @ ext.translation + x.position,
                                        atol=1e-12)
@@ -222,7 +223,7 @@ class TestSensorPoses:
             w.push(frame)
         snap = w.snapshot()
         x_newest = frames[8].gt_pose()
-        rot, pos = sensor_poses(snap, x_newest)
+        rot, pos = sensor_poses(snap, x_newest.rotation(), x_newest.position)
         j_count = len(snap)
         for j in range(j_count):
             frame_idx = 8 - (j_count - 1 - j)
@@ -235,5 +236,99 @@ class TestSensorPoses:
         w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.ones((2, 3))))
         snap = w.snapshot()
-        snap.readings[:] = -99.0
-        assert np.all(w.entries[0].readings == 1.0)
+        for name in ("rel_rotations", "rel_translations", "regressors",
+                     "readings", "extrinsic_rotations",
+                     "extrinsic_translations"):
+            getattr(snap, name)[...] = -99.0
+        assert np.all(w.readings[0] == 1.0)
+        np.testing.assert_array_equal(w.rel_rotations[0], np.eye(3))
+        np.testing.assert_array_equal(w.rel_translations[0], np.zeros(3))
+        np.testing.assert_array_equal(w.regressors[0],
+                                      regressor_many(np.ones((2, 3))))
+        np.testing.assert_array_equal(w.extrinsic_rotations,
+                                      np.stack([e.rotation for e in rig]))
+        np.testing.assert_array_equal(w.extrinsic_translations,
+                                      np.stack([e.translation for e in rig]))
+
+
+def reference_window(frames, horizon_m):
+    """Per-entry window built with compose/inverse, one entry at a time:
+    a list of [rel_pose, readings, traveled, timestamp], oldest first."""
+    entries = []
+    for frame in frames:
+        dr = frame.odom_rotation()
+        dp = np.asarray(frame.odom_dp, dtype=float)
+        step = float(np.linalg.norm(dp))
+        angle = float(np.arccos(np.clip((np.trace(dr) - 1.0) / 2.0, -1.0, 1.0)))
+        if entries and step < STATIONARY_TRANS and angle < STATIONARY_ROT:
+            entries[-1][1] = frame.readings.copy()
+            entries[-1][3] = frame.t
+            continue
+        inv_step = inverse(RigidTransform(dr, dp))
+        entries = [[compose(inv_step, rel), readings, dist + step, t]
+                   for rel, readings, dist, t in entries
+                   if dist + step <= horizon_m]
+        entries.append([RigidTransform.identity(), frame.readings.copy(),
+                        0.0, frame.t])
+    return entries
+
+
+# One frame: a standstill, or a move of up to 0.3 m and 0.5 rad.
+_standstill = st.tuples(st.just("still"),
+                        st.floats(0.0, 0.5 * STATIONARY_TRANS),
+                        st.floats(0.0, 0.5 * STATIONARY_ROT))
+_move = st.tuples(st.just("move"), st.floats(-0.3, 0.3), st.floats(-0.5, 0.5))
+_steps = st.lists(st.tuples(st.one_of(_standstill, _move),
+                            st.integers(0, 2**32 - 1)),
+                  min_size=1, max_size=25)
+
+
+class TestStackedWindowProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_steps, horizon=st.floats(0.0, 1.5),
+           n_sensors=st.integers(1, 3))
+    def test_matches_per_entry_reference(self, steps, horizon, n_sensors):
+        # Random increments, standstill frames and evictions: the stacked
+        # window and its snapshot equal the per-entry reference.
+        rig = default_rig()[:n_sensors]
+        frames = []
+        for k, ((kind, a, b), seed) in enumerate(steps):
+            rng = np.random.default_rng(seed)
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            dp = direction * (a if kind == "still" else abs(a))
+            dr = exp_so3(axis * b)
+            readings = rng.normal(size=(n_sensors, 3)) * 40.0
+            frames.append(frame_of(0.1 * k, dr, dp, readings))
+        w = SlidingWindow(horizon, rig)
+        for frame in frames:
+            w.push(frame)
+        ref = reference_window(frames, horizon)
+
+        assert len(w) == len(ref)
+        for j, (rel, readings, dist, t) in enumerate(ref):
+            np.testing.assert_allclose(w.rel_rotations[j], rel.rotation,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w.rel_translations[j], rel.translation,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(w.readings[j], readings)
+            for i in range(n_sensors):
+                np.testing.assert_array_equal(w.regressors[j, i],
+                                              regressor(readings[i]))
+            assert abs(w.traveled[j] - dist) <= 1e-12
+            assert w.timestamps[j] == t
+        assert w.traveled[-1] == 0.0
+        assert np.all(w.traveled <= horizon)
+
+        snap = w.snapshot()
+        for j, (rel, _, _, _) in enumerate(ref):
+            for i, ext in enumerate(rig):
+                np.testing.assert_allclose(
+                    snap.rel_ext_rotations[j, i], rel.rotation @ ext.rotation,
+                    rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    snap.body_offsets[j, i],
+                    rel.rotation @ ext.translation + rel.translation,
+                    rtol=0, atol=1e-12)

@@ -102,11 +102,6 @@ def _fields_at_rp(snap: WindowSnapshot, r_body: np.ndarray, p_body: np.ndarray,
     return rotations, positions, g
 
 
-def _predictions(snap: WindowSnapshot, thetas: np.ndarray) -> np.ndarray:
-    """Calibrated readings H theta of every (entry, sensor), (J, N, 3)."""
-    return np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
-
-
 def pose_residual(window, theta: np.ndarray, x: PoseState,
                   grid: MagneticGridMap, sensor: int) -> np.ndarray:
     """Stacked (3*J,) residual of one sensor at the current state."""
@@ -232,7 +227,8 @@ def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
     """
     snap = _as_snapshot(window)
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
-    pred = _predictions(snap, thetas)  # fixed while the calibration is
+    # Calibrated readings H theta, fixed while the calibration is.
+    pred = np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
     mask = np.asarray(config.state_mask, dtype=bool)
 
     stalled = False

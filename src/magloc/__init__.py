@@ -15,8 +15,8 @@ from .errors import (AlignmentError, ConfigurationError, DatasetSchemaError,
 from .geom import (PosePerturbation, PoseState, RigidTransform, boxplus,
                    compose, exp_so3, inverse, log_so3, skew)
 from .magmap import (DipoleSource, FieldModel, MagneticGridMap, dipole_field,
-                     gradient, interpolate, load_map, rasterize, sample_field,
-                     save_map)
+                     gradient_many, interpolate_many, load_map, rasterize,
+                     sample_field, save_map)
 from .gpr import Fingerprint, GprModel, KernelParams, build_grid, fit, predict_many
 from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,

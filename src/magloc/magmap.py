@@ -153,11 +153,13 @@ def rasterize(model: FieldModel, origin, resolution: float, nx: int, ny: int,
 def _cell_coords(grid: MagneticGridMap, points: np.ndarray):
     """Cell indices and in-cell fractions for (m, 3) query points.
 
-    Non-finite coordinates fail the in-range test and raise OutOfMapError.
+    A non-finite coordinate, z included, fails the in-range test and raises
+    OutOfMapError like a point off the rectangle.
     """
     xmin, xmax, ymin, ymax = grid.extent()
     x, y = points[:, 0], points[:, 1]
-    bad = ~((x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax))
+    bad = ~((x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
+            & np.isfinite(points[:, 2]))
     if np.any(bad):
         raise OutOfMapError(points[np.argmax(bad)])
     tx = (x - xmin) / grid.resolution
@@ -181,11 +183,6 @@ def interpolate_many(grid: MagneticGridMap, points: np.ndarray) -> np.ndarray:
             + (1.0 - u) * v * c + u * v * d)
 
 
-def interpolate(grid: MagneticGridMap, p: np.ndarray) -> np.ndarray:
-    """Bilinear field lookup at a single point (planar: p[2] is ignored)."""
-    return interpolate_many(grid, np.asarray(p, dtype=float)[None, :])[0]
-
-
 def gradient_many(grid: MagneticGridMap, points: np.ndarray) -> np.ndarray:
     """Analytic spatial gradient of the bilinear surface, (m, 3, 3).
 
@@ -207,11 +204,6 @@ def gradient_many(grid: MagneticGridMap, points: np.ndarray) -> np.ndarray:
     out[..., :, 0] = ddx
     out[..., :, 1] = ddy
     return out
-
-
-def gradient(grid: MagneticGridMap, p: np.ndarray) -> np.ndarray:
-    """Spatial gradient at a single point; see gradient_many."""
-    return gradient_many(grid, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def save_map(grid: MagneticGridMap, path) -> None:

@@ -210,7 +210,8 @@ def test_criterion_3_interpolation_exactness():
         for _ in range(50):
             p = np.array([rng.uniform(0, (nx - 1) * res),
                           rng.uniform(0, (ny - 1) * res), 0.0])
-            assert np.abs(magmap.interpolate(grid, p) - model_nodes(p[None])[0]).max() < 1e-10
+            err = magmap.interpolate_many(grid, p[None]) - model_nodes(p[None])
+            assert np.abs(err).max() < 1e-10
 
         piecewise = _random_piecewise_grid(rng)
         h = piecewise.resolution / 100.0
@@ -222,13 +223,14 @@ def test_criterion_3_interpolation_exactness():
             margin = h / piecewise.resolution
             if min(u, 1 - u, v, 1 - v) < margin:
                 continue
-            g = magmap.gradient(piecewise, p)
+            g = magmap.gradient_many(piecewise, p[None])[0]
             fd = np.zeros((3, 3))
             for axis in range(2):
                 dp = np.zeros(3)
                 dp[axis] = h
-                fd[:, axis] = (magmap.interpolate(piecewise, p + dp)
-                               - magmap.interpolate(piecewise, p - dp)) / (2 * h)
+                fd[:, axis] = (magmap.interpolate_many(piecewise, (p + dp)[None])[0]
+                               - magmap.interpolate_many(piecewise, (p - dp)[None])[0]
+                               ) / (2 * h)
             assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-6
             checked += 1
 

@@ -202,6 +202,25 @@ class TestRunAndEval:
         assert main(["eval", "--run-dir", str(out),
                      "--dataset", str(out / "dataset.jsonl")]) == 2
 
+    @pytest.mark.parametrize("n_frames", [1, 2])
+    def test_too_few_frames_run_but_eval_exit_1(self, tmp_path, workdir, capsys,
+                                                n_frames):
+        # A one- or two-frame dataset runs; scoring it needs three associated
+        # positions, so eval fails at run time and writes no report.
+        config_path, out = workdir
+        lines = (out / "dataset.jsonl").read_text().splitlines()
+        short = tmp_path / "short.jsonl"
+        short.write_text("\n".join(lines[:n_frames]) + "\n")
+        run_out = tmp_path / "short_run"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(short),
+                     "--map", str(out / "map_true.mag")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(run_out), "--dataset", str(short),
+                     "--truth", str(out / "true_calibration.json")]) == 1
+        assert f"only {n_frames} associated positions" in capsys.readouterr().err
+        assert not (run_out / "report.json").exists()
+
     def test_ablation_flags_recorded(self, workdir):
         config_path, out = workdir
         main(["run", "--config", config_path, "--out", str(out),

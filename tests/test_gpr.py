@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+from magloc import gpr
 from magloc.errors import DegenerateTrainingError
 from magloc.gpr import (Fingerprint, KernelParams, _kernel_matrix, build_grid,
                         fit, predict_many, read_fingerprints_csv,
@@ -14,6 +16,20 @@ def make_params(**kw):
     base = dict(lengthscale=1.0, signal_var=25.0, noise_var=0.04)
     base.update(kw)
     return KernelParams(**base)
+
+
+def fit_random(rng, n, params):
+    pos = rng.uniform(0, 3, size=(n, 3))
+    fields = rng.normal(size=(n, 3)) * 6 + 30
+    return fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
+
+
+def broadcast_reference(model, query):
+    """Posterior mean through one unblocked broadcast kernel."""
+    d2 = np.sum((query[:, None, :] - model.train_pos[None, :, :])**2, axis=-1)
+    kstar = model.params.signal_var * np.exp(
+        -d2 / (2.0 * model.params.lengthscale**2))
+    return model.mean + kstar @ model.alpha
 
 
 def rbf(pj, pk, params):
@@ -80,6 +96,19 @@ class TestFit:
             expected = mean + k[i] @ alpha - params.noise_var * alpha[i]
             np.testing.assert_allclose(predict_many(model, pos[i][None])[0],
                                        expected, atol=1e-8)
+
+    def test_weights_match_c_ordered_factor(self, rng):
+        # fit factors the Fortran-ordered view of the symmetric kernel; the
+        # weights are those of the C-ordered factorization, bit for bit.
+        params = make_params(lengthscale=0.7, noise_var=0.05)
+        pos = rng.uniform(0, 4, size=(200, 3))
+        fields = rng.normal(size=(200, 3)) * 6 + 30
+        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
+        k = _kernel_matrix(pos, pos, params)
+        k[np.diag_indices_from(k)] += params.noise_var
+        assert k.flags.c_contiguous
+        alpha = cho_solve(cho_factor(k, lower=True), fields - fields.mean(axis=0))
+        assert np.array_equal(model.alpha, alpha)
 
     def test_duplicate_positions_rejected(self):
         p = np.array([1.0, 1.0, 0.0])
@@ -173,6 +202,72 @@ class TestPredict:
                                    model.mean + kstar @ model.alpha,
                                    rtol=1e-12, atol=1e-12)
         assert predict_many(model, np.empty((0, 3))).shape == (0, 3)
+
+
+def lattice(xs, ys, zs):
+    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
+
+
+class TestLatticePath:
+    """Queries spanning a lattice no larger than themselves take the
+    separable per-axis path; it must equal the broadcast kernel."""
+
+    @staticmethod
+    def forbid_cross_kernel(monkeypatch):
+        def fail(*args):
+            raise AssertionError("lattice queries took the cdist path")
+        monkeypatch.setattr(gpr, "_kernel_matrix", fail)
+
+    def cases(self, rng):
+        xs = np.linspace(-1.0, 4.0, 23)
+        ys = np.linspace(-0.5, 3.5, 17)
+        grid = lattice(xs, ys, [0.0])
+        return {
+            "shuffled": grid[rng.permutation(len(grid))],
+            "non-uniform": lattice(np.sort(rng.uniform(-1, 4, 19)),
+                                   np.sort(rng.uniform(-1, 4, 11)) ** 2, [0.3]),
+            "two levels": lattice(xs, ys, [-0.4, 0.9]),
+            "repeated": np.concatenate([grid, grid[::3], grid[:5]]),
+            "one point": np.array([[0.7, 1.1, 0.2]]),
+        }
+
+    def test_matches_broadcast_reference(self, rng, monkeypatch):
+        model = fit_random(rng, 60, make_params(lengthscale=0.6))
+        self.forbid_cross_kernel(monkeypatch)
+        for name, query in self.cases(rng).items():
+            np.testing.assert_allclose(predict_many(model, query),
+                                       broadcast_reference(model, query),
+                                       rtol=1e-12, atol=1e-10, err_msg=name)
+        assert predict_many(model, np.empty((0, 3))).shape == (0, 3)
+
+    def test_blocks_of_distinct_values(self, rng, monkeypatch):
+        # 2 * 1024 + 5 distinct x values: two full blocks and a partial one.
+        model = fit_random(rng, 30, make_params(lengthscale=0.8))
+        self.forbid_cross_kernel(monkeypatch)
+        query = lattice(np.linspace(0, 3, 2 * 1024 + 5), [0.5, 1.5], [0.0])
+        np.testing.assert_allclose(predict_many(model, query),
+                                   broadcast_reference(model, query),
+                                   rtol=1e-12, atol=1e-10)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_peak_memory_on_a_line(self, rng, axis):
+        # 5000 points on one axis-aligned line against 917 points: an
+        # unblocked (5000, 917) factor alone would take 37 MB.
+        pos = np.column_stack([rng.uniform(0, 15, 917), rng.uniform(0, 10, 917),
+                               np.zeros(917)])
+        fields = rng.normal(size=(917, 3)) * 5 + 30
+        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)],
+                    make_params())
+        line = np.full((5000, 3), 0.5)
+        line[:, axis] = np.linspace(0, 15, 5000)
+        tracemalloc.start()
+        try:
+            predict_many(model, line)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestBuildGrid:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magloc.errors import (ConfigurationError, DegenerateQueryError,
                            MapFormatError, OutOfMapError)
 from magloc.magmap import (DipoleSource, FieldModel, MagneticGridMap,
-                           dipole_field, gradient, gradient_many, interpolate,
-                           interpolate_many, load_map, rasterize, sample_field,
-                           sample_field_many, save_map)
+                           dipole_field, gradient_many, interpolate_many,
+                           load_map, rasterize, sample_field, sample_field_many,
+                           save_map)
 
 
 def affine_model(a, c):
@@ -116,7 +118,7 @@ class TestInterpolate:
         for i in (0, 3, 8):
             for j in (0, 2, 6):
                 p = grid.node_position(i, j)
-                np.testing.assert_array_equal(interpolate(grid, p),
+                np.testing.assert_array_equal(interpolate_many(grid, p[None])[0],
                                               grid.values[i, j])
 
     def test_cell_center_average(self):
@@ -126,8 +128,9 @@ class TestInterpolate:
         values[0, 1] = [4.0, 0, 0]
         values[1, 1] = [9.0, 0, 0]
         grid = MagneticGridMap(np.zeros(2), 1.0, 2, 2, values)
-        np.testing.assert_allclose(interpolate(grid, np.array([0.5, 0.5, 0.0])),
-                                   [(1 + 2 + 4 + 9) / 4.0, 0, 0], atol=1e-14)
+        np.testing.assert_allclose(
+            interpolate_many(grid, np.array([[0.5, 0.5, 0.0]]))[0],
+            [(1 + 2 + 4 + 9) / 4.0, 0, 0], atol=1e-14)
 
     def test_affine_field_reproduced(self, rng):
         # Bilinear interpolation is exact for affine fields.
@@ -139,18 +142,20 @@ class TestInterpolate:
         for _ in range(50):
             p = np.array([rng.uniform(0, 3.0), rng.uniform(0, 2.4), 0.0])
             expected = a_planar @ p + c
-            np.testing.assert_allclose(interpolate(grid, p), expected, atol=1e-10)
+            np.testing.assert_allclose(interpolate_many(grid, p[None])[0],
+                                       expected, atol=1e-10)
 
     def test_z_ignored(self, rng):
         grid = affine_map(rng.normal(size=(3, 3)), rng.normal(size=3))
         p = np.array([0.7, 0.9, 0.0])
-        np.testing.assert_array_equal(interpolate(grid, p),
-                                      interpolate(grid, p + [0, 0, 5.0]))
+        np.testing.assert_array_equal(
+            interpolate_many(grid, p[None])[0],
+            interpolate_many(grid, (p + [0, 0, 5.0])[None])[0])
 
     def test_out_of_map(self):
         grid = affine_map(np.eye(3), np.zeros(3))
         with pytest.raises(OutOfMapError) as err:
-            interpolate(grid, np.array([-0.1, 0.5, 0.0]))
+            interpolate_many(grid, np.array([[-0.1, 0.5, 0.0]]))
         assert err.value.point[0] == -0.1
         # Non-finite coordinates take the same path, in the batched
         # kernels too, instead of indexing with a garbage cell.
@@ -171,15 +176,17 @@ class TestInterpolate:
             i = rng.integers(1, 13)
             x_edge = float(grid.origin[0] + i * grid.resolution)
             y = rng.uniform(0.05, 1.3)
-            left = interpolate(grid, np.array([np.nextafter(x_edge, -1), y, 0]))
-            right = interpolate(grid, np.array([np.nextafter(x_edge, 2), y, 0]))
+            left = interpolate_many(
+                grid, np.array([[np.nextafter(x_edge, -1), y, 0]]))[0]
+            right = interpolate_many(
+                grid, np.array([[np.nextafter(x_edge, 2), y, 0]]))[0]
             assert np.max(np.abs(left - right)) < 1e-10
 
 
 class TestGradient:
     def test_constant_map_zero_gradient(self):
         grid = affine_map(np.zeros((3, 3)), np.array([5.0, 6.0, 7.0]))
-        assert np.array_equal(gradient(grid, np.array([0.6, 0.7, 0.0])),
+        assert np.array_equal(gradient_many(grid, np.array([[0.6, 0.7, 0.0]]))[0],
                               np.zeros((3, 3)))
 
     def test_affine_field_gradient(self, rng):
@@ -188,7 +195,8 @@ class TestGradient:
         grid = affine_map(a, rng.normal(size=3))
         for _ in range(10):
             p = np.array([rng.uniform(0.1, 1.9), rng.uniform(0.1, 1.4), 0.0])
-            np.testing.assert_allclose(gradient(grid, p), a, atol=1e-10)
+            np.testing.assert_allclose(gradient_many(grid, p[None])[0], a,
+                                       atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
         grid = affine_map(rng.normal(size=(3, 3)), rng.normal(size=3),
@@ -204,26 +212,92 @@ class TestGradient:
             margin = h / grid.resolution
             if min(u, 1 - u, v, 1 - v) < margin:
                 continue
-            g = gradient(grid, p)
+            g = gradient_many(grid, p[None])[0]
             fd = np.zeros((3, 3))
             for axis in range(2):
                 dp = np.zeros(3)
                 dp[axis] = h
-                fd[:, axis] = (interpolate(grid, p + dp)
-                               - interpolate(grid, p - dp)) / (2 * h)
+                fd[:, axis] = (interpolate_many(grid, (p + dp)[None])[0]
+                               - interpolate_many(grid, (p - dp)[None])[0]) / (2 * h)
             scale = max(np.abs(fd).max(), 1.0)
             assert np.abs(g - fd).max() / scale < 1e-6
             checked += 1
 
     def test_batch_matches_scalar(self, rng):
+        # A batch equals one-row batched calls, bit for bit.
         grid = affine_map(rng.normal(size=(3, 3)), rng.normal(size=3))
         pts = np.column_stack([rng.uniform(0.1, 1.9, 8), rng.uniform(0.1, 1.4, 8),
                                np.zeros(8)])
         gm = gradient_many(grid, pts)
         im = interpolate_many(grid, pts)
         for k in range(8):
-            np.testing.assert_array_equal(gm[k], gradient(grid, pts[k]))
-            np.testing.assert_array_equal(im[k], interpolate(grid, pts[k]))
+            np.testing.assert_array_equal(gm[k], gradient_many(grid, pts[k:k + 1])[0])
+            np.testing.assert_array_equal(im[k],
+                                          interpolate_many(grid, pts[k:k + 1])[0])
+
+
+# A small affine-valued grid over [-1.25, 0.75] x [0.5, 2.0] at z = 0.
+_A = np.array([[1.5, -2.0, 0.7], [0.3, 4.0, -1.1], [-2.5, 0.8, 3.0]])
+_C = np.array([21.0, -7.5, -43.0])
+_GRID = affine_map(_A, _C, origin=(-1.25, 0.5), resolution=0.25, nx=9, ny=7)
+_XMIN, _XMAX, _YMIN, _YMAX = _GRID.extent()
+
+
+def _closed(lo, hi):
+    """Floats in [lo, hi], the end points drawn on their own as well."""
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+def _beyond(lo, hi):
+    """Finite floats outside [lo, hi]."""
+    return st.one_of(
+        st.floats(max_value=lo, exclude_max=True, allow_infinity=False),
+        st.floats(min_value=hi, exclude_min=True, allow_infinity=False))
+
+
+_z = st.floats(-1e3, 1e3)
+_inside = st.tuples(_closed(_XMIN, _XMAX), _closed(_YMIN, _YMAX), _z)
+
+
+@st.composite
+def _bad_point(draw):
+    """A point off the rectangle, or one with a NaN or infinite coordinate."""
+    kind = draw(st.sampled_from(["x", "y", "non-finite"]))
+    p = list(draw(_inside))
+    if kind == "x":
+        p[0] = draw(_beyond(_XMIN, _XMAX))
+    elif kind == "y":
+        p[1] = draw(_beyond(_YMIN, _YMAX))
+    else:
+        p[draw(st.integers(0, 2))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return p
+
+
+class TestQueryProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(_inside, min_size=1, max_size=8))
+    def test_closed_rectangle_reproduces_affine_field(self, points):
+        pts = np.array(points)
+        values = interpolate_many(_GRID, pts)
+        grads = gradient_many(_GRID, pts)
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(grads))
+        np.testing.assert_allclose(values, pts[:, :2] @ _A[:, :2].T + _C,
+                                   rtol=0, atol=1e-9)
+        expected = np.zeros((3, 3))
+        expected[:, :2] = _A[:, :2]
+        np.testing.assert_allclose(grads, np.broadcast_to(expected, grads.shape),
+                                   rtol=0, atol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(_inside, max_size=4), bad=_bad_point(),
+           at=st.integers(0, 4))
+    def test_outside_or_non_finite_raises(self, points, bad, at):
+        points.insert(at, bad)
+        pts = np.array(points)
+        with pytest.raises(OutOfMapError):
+            interpolate_many(_GRID, pts)
+        with pytest.raises(OutOfMapError):
+            gradient_many(_GRID, pts)
 
 
 class TestMapIo:

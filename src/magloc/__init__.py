@@ -12,8 +12,8 @@ calibration update.
 from .errors import (AlignmentError, ConfigurationError, DatasetSchemaError,
                      DegenerateQueryError, DegenerateTrainingError,
                      MapFormatError, OutOfMapError)
-from .geom import (PosePerturbation, PoseState, RigidTransform, boxplus,
-                   compose, exp_so3, inverse, log_so3, skew)
+from .geom import (PoseState, RigidTransform, compose, exp_so3, inverse,
+                   log_so3, rot_z, skew)
 from .magmap import (DipoleSource, FieldModel, MagneticGridMap, dipole_field,
                      gradient_many, interpolate_many, load_map, rasterize,
                      sample_field, save_map)

@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
         "no_calib": bool(args.no_calib),
         "no_window": bool(args.no_window),
         "window_m": solver.window_m,
-        "state_mask": list(solver.state_mask),
+        "state_mask": solver.state_mask,
     }, out / RUN_CONFIG)
     print(f"run: {len(frames)} frames, "
           f"{int(output.fallbacks.sum())} fallbacks, "
@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precalibrated", action="store_true",
                        help="apply the true calibration to readings first")
         p.add_argument("--window-m", type=float, default=None)
-        p.add_argument("--state-mask", choices=("xy", "xyyaw", "full"), default=None)
+        p.add_argument("--state-mask", choices=("xy", "xyyaw"), default=None)
         p.add_argument("--truth", default=None, help="true_calibration.json path")
 
     p = sub.add_parser("run", help="online estimation over a dataset")

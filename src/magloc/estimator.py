@@ -1,6 +1,8 @@
 """Joint pose and calibration estimator.
 
-Each frame is one alternation of two blocks.  First the pose is refined
+The robot moves on a floor, so the pose state is planar: x, y and a yaw
+about z; the pose step leaves the propagated height as it is.  Each frame
+is one alternation of two blocks.  First the pose (x, y, yaw) is refined
 over the accumulated window by damped Gauss-Newton with every sensor's
 affine calibration held fixed (`alternate`).  Then, with that pose held
 fixed, one (regressor, map-field) pair per sensor feeds a
@@ -14,8 +16,7 @@ readings H theta are fixed for the whole block and computed once.  Each
 line-search trial builds its candidate pose exactly as the next iterate
 would be built and keeps the sensor poses, map fields and residual it
 evaluated; the accepted trial becomes the next iterate, so a Gauss-Newton
-step adds only the Jacobian's gradient lookup.  The Jacobian takes its
-pose-independent factors from the window snapshot.
+step adds only the Jacobian's gradient lookup.
 
 The reference pose is substituted and flagged when the pose step fails:
 the pooled residual ends above the configured threshold, or a map query
@@ -24,25 +25,25 @@ round simply stops at the current pose.  The run continues either way and
 the filter keeps ingesting consistent data.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError
-# boxplus is no longer called here; the name stays bound for tools that
-# patch this module's names to trace it.
-from .geom import (PosePerturbation, PoseState, boxplus, exp_so3,  # noqa: F401
-                   log_so3, skew_many)
+# The planar solver calls neither boxplus nor exp_so3; the names stay bound
+# for tools that patch this module's names to trace it.
+from .geom import PoseState, boxplus, exp_so3, rot_z  # noqa: F401
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
 from .sim import DatasetFrame, identity_theta
 from .window import SlidingWindow, WindowSnapshot, regressor, sensor_poses
 
-STATE_DIM = 6  # [dp, dphi]
-
-MASK_PLANAR_XY = (True, True, False, False, False, False)
-MASK_PLANAR = (True, True, False, False, False, True)
-MASK_FULL = (True,) * 6
+# Number of leading (x, y, yaw) coordinates each state mask solves for;
+# "xy" holds the yaw at the prior.
+STATE_MASKS = {"xy": 2, "xyyaw": 3}
+# Largest deviation from a unit quaternion about z that a dataset may carry.
+QUAT_TOL = 1e-9
 
 
 @dataclass
@@ -51,18 +52,21 @@ class SolverConfig:
     max_alternations: int = 10
     pose_tol_m: float = 1e-4
     pose_tol_rad: float = 1e-4
-    state_mask: tuple = MASK_PLANAR
+    state_mask: str = "xyyaw"
     gn_damping: float = 1e-6
-    # None = auto threshold 10 * meas_sigma * sqrt(3 * N * window); inf
-    # disables the residual-based fallback entirely.
+    # None = auto threshold 10 * meas_sigma * sqrt(3 * N * window), or inf
+    # when calibration is off or meas_sigma is 0; inf disables the
+    # residual-based fallback entirely.
     divergence_residual: float | None = None
     meas_sigma: float = 0.2  # noise scale the auto threshold is based on
     window_m: float = 0.5
     calibrate: bool = True
 
     def __post_init__(self):
-        if not any(self.state_mask):
-            raise ConfigurationError("state mask disables every dimension")
+        if not (isinstance(self.state_mask, str)
+                and self.state_mask in STATE_MASKS):
+            raise ConfigurationError(
+                f"state_mask must be 'xy' or 'xyyaw', got {self.state_mask!r}")
         # Written as "not (ok)" so that NaN fails too.
         for name in ("max_alternations", "gn_iters_per_round"):
             value = getattr(self, name)
@@ -81,10 +85,11 @@ class SolverConfig:
     def divergence_threshold(self, n_sensors: int, window_len: int) -> float:
         if self.divergence_residual is not None:
             return float(self.divergence_residual)
-        if not self.calibrate:
-            # Uncalibrated residuals sit at the distortion floor; the
+        if not self.calibrate or self.meas_sigma == 0.0:
+            # Uncalibrated residuals sit at the distortion floor, and
+            # noiseless ones at the map's interpolation error; a
             # noise-scaled threshold would fire every frame and reduce the
-            # ablation to the reference trajectory.
+            # run to the reference trajectory.
             return np.inf
         return 10.0 * self.meas_sigma * np.sqrt(3.0 * n_sensors * window_len)
 
@@ -93,89 +98,93 @@ def _as_snapshot(window) -> WindowSnapshot:
     return window.snapshot() if isinstance(window, SlidingWindow) else window
 
 
-def _fields_at_rp(snap: WindowSnapshot, r_body: np.ndarray, p_body: np.ndarray,
-                  grid: MagneticGridMap):
-    """Sensor poses plus the body-frame map field R^T M at each of them."""
-    rotations, positions = sensor_poses(snap, r_body, p_body)
+def _fields_at(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap):
+    """Sensor poses at the planar pose x, with the world map field M and
+    the body-frame field R^T M at each of them."""
+    rotations, positions = sensor_poses(snap, rot_z(x.orientation[2]),
+                                        x.position)
     m = interpolate_many(grid, positions.reshape(-1, 3)).reshape(positions.shape)
     g = np.einsum("...ji,...j->...i", rotations, m)
-    return rotations, positions, g
+    return rotations, positions, m, g
+
+
+def _pose(position: np.ndarray, yaw: float) -> PoseState:
+    """Planar pose with orientation (0, 0, yaw), yaw wrapped to (-pi, pi]."""
+    yaw -= 2.0 * math.pi * math.ceil((yaw - math.pi) / (2.0 * math.pi))
+    return PoseState(position, np.array([0.0, 0.0, yaw]))
 
 
 def pose_residual(window, theta: np.ndarray, x: PoseState,
                   grid: MagneticGridMap, sensor: int) -> np.ndarray:
-    """Stacked (3*J,) residual of one sensor at the current state."""
+    """Stacked (3*J,) residual of one sensor at the planar state x."""
     snap = _as_snapshot(window)
-    _, _, g = _fields_at_rp(snap, x.rotation(), x.position, grid)
+    g = _fields_at(snap, x, grid)[3]
     return (snap.regressors[:, sensor] @ theta - g[:, sensor]).ravel()
 
 
-def _jacobian_all(snap: WindowSnapshot, grid: MagneticGridMap,
-                  rotations: np.ndarray, positions: np.ndarray,
-                  rtm: np.ndarray, r_body: np.ndarray) -> np.ndarray:
-    """Pose Jacobian blocks for every (entry, sensor), shape (J, N, 3, 6).
+def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
+                  positions: np.ndarray, fields: np.ndarray,
+                  p_body: np.ndarray) -> np.ndarray:
+    """Pose Jacobian blocks for every (entry, sensor), shape (J, N, 3, 3).
 
-    Exact derivative of the residual under the boxplus parameterization:
-    the translation block is -R^T grad(M); the rotation block carries the
-    frame conjugation and the lever arm of each accumulated sensor pose,
-        -[R^T M]x A^T + R^T grad(M) R_body [c]x
-    with A = R_body^T R and c = R_body^T (p - p_body), which are the
-    snapshot's rel_ext_rotations and body_offsets.  For the newest entry of
-    a sensor with zero offset this reduces to -[R^T M]x.
+    Columns are the derivatives of the residual H theta - R^T M(p) of a
+    sensor at world pose (R, p) in the body's x, y and yaw.  A step
+    (dx, dy) moves every sensor with the body.  A yaw step turns the rig
+    about the vertical through p_body: it moves a sensor by z x (p - p_body)
+    and turns its frame, R^T -> R^T - dyaw R^T [z]x.  So
+        J = -R^T [dM/dx, dM/dy, grad(M) (z x (p - p_body)) - z x M],
+    with M the world-frame field at p (`fields`).
     """
     grads = gradient_many(grid, positions.reshape(-1, 3)).reshape(
-        positions.shape[:2] + (3, 3))
-    rtg = np.matmul(rotations.swapaxes(-1, -2), grads)  # R^T grad(M)
-    rtg_rb = (rtg.reshape(-1, 3) @ r_body).reshape(rtg.shape)
-    j_rot = (-np.matmul(skew_many(rtm), snap.rel_ext_rotations.swapaxes(-1, -2))
-             + np.matmul(rtg_rb, skew_many(snap.body_offsets)))
-    out = np.empty(positions.shape[:2] + (3, 6))
-    out[..., :3] = -rtg
-    out[..., 3:] = j_rot
-    return out
+        positions.shape + (3,))
+    arm = positions - p_body
+    # The planar map's dM/dz column is 0; it becomes the yaw column.
+    grads[..., 2] = grads[..., 1] * arm[..., :1] - grads[..., 0] * arm[..., 1:2]
+    grads[..., 0, 2] += fields[..., 1]
+    grads[..., 1, 2] -= fields[..., 0]
+    return -np.matmul(rotations.swapaxes(-1, -2), grads)
 
 
 def pose_jacobian(window, x: PoseState, grid: MagneticGridMap,
                   sensor: int) -> np.ndarray:
-    """Stacked (3*J, 6) pose Jacobian of one sensor; see _jacobian_all."""
-    snap = _as_snapshot(window)
-    r_body = x.rotation()
-    rotations, positions, g = _fields_at_rp(snap, r_body, x.position, grid)
-    return _jacobian_all(snap, grid, rotations, positions, g,
-                         r_body)[:, sensor].reshape(-1, 6)
+    """Stacked (3*J, 3) pose Jacobian of one sensor; see _jacobian_all."""
+    rotations, positions, m, _ = _fields_at(_as_snapshot(window), x, grid)
+    return _jacobian_all(grid, rotations, positions, m,
+                         x.position)[:, sensor].reshape(-1, 3)
 
 
-def gauss_newton_step(residual, jacobian, mask, damping: float,
+def gauss_newton_step(residual, jacobian, mask: str, damping: float,
                       trial_norm_fn=None) -> tuple:
     """Masked, damped normal-equation step for one stacked residual.
 
-    residual is (m,) and jacobian (m, 6).  When trial_norm_fn is given the
-    step is halved (up to 4 times) until the residual norm decreases; if it
-    never does, a zero step is returned with the stall flag set.  The
-    accepted step is always the last one passed to trial_norm_fn.
+    residual is (m,) and jacobian (m, 3) over (x, y, yaw); the step is a
+    (3,) array whose coordinates outside the state mask are 0.  When
+    trial_norm_fn is given the step is halved (up to 4 times) until the
+    residual norm decreases; if it never does, a zero step is returned
+    with the stall flag set.  The accepted step is always the last one
+    passed to trial_norm_fn.
     """
     r = np.ravel(residual)
-    idx = np.flatnonzero(np.asarray(mask, dtype=bool))
-    jm = np.reshape(jacobian, (-1, STATE_DIM))[:, idx]
-    normal = jm.T @ jm + damping * np.eye(len(idx))
+    n = STATE_MASKS[mask]
+    jm = np.reshape(jacobian, (-1, 3))[:, :n]
+    normal = jm.T @ jm + damping * np.eye(n)
     rhs = -(jm.T @ r)
+    step = np.zeros(3)
     try:
-        step_masked = np.linalg.solve(normal, rhs)
+        step[:n] = np.linalg.solve(normal, rhs)
     except np.linalg.LinAlgError:
-        return PosePerturbation(), True
-    full = np.zeros(STATE_DIM)
-    full[idx] = step_masked
+        return np.zeros(3), True
     if trial_norm_fn is None:
-        return PosePerturbation(full[:3].copy(), full[3:].copy()), False
+        return step, False
     base = float(np.linalg.norm(r))
     scale = 1.0
     for _ in range(5):  # full step plus up to 4 halvings
-        dx = PosePerturbation(scale * full[:3], scale * full[3:])
+        dx = scale * step
         trial = trial_norm_fn(dx)
         if trial is not None and trial < base:
             return dx, False
         scale *= 0.5
-    return PosePerturbation(), True
+    return np.zeros(3), True
 
 
 @dataclass
@@ -192,19 +201,18 @@ class _Iterate:
     """A pose with everything one map evaluation gives at it."""
 
     x: PoseState
-    r_body: np.ndarray  # x.rotation()
     rotations: np.ndarray  # (J, N, 3, 3) sensor rotations
     positions: np.ndarray  # (J, N, 3) sensor positions
-    g: np.ndarray  # (J, N, 3) body-frame map field R^T M
+    fields: np.ndarray  # (J, N, 3) world-frame map field M
     residual: np.ndarray  # (J, N, 3)
     norm: float
 
 
 def _evaluate(snap: WindowSnapshot, pred: np.ndarray, x: PoseState,
-              r_body: np.ndarray, grid: MagneticGridMap) -> _Iterate:
-    rotations, positions, g = _fields_at_rp(snap, r_body, x.position, grid)
+              grid: MagneticGridMap) -> _Iterate:
+    rotations, positions, m, g = _fields_at(snap, x, grid)
     residual = pred - g
-    return _Iterate(x, r_body, rotations, positions, g, residual,
+    return _Iterate(x, rotations, positions, m, residual,
                     float(np.linalg.norm(residual)))
 
 
@@ -214,13 +222,14 @@ def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
 
     The calibration `thetas` is held fixed; `run` refines it afterwards
     with the pose held fixed.  Runs up to max_alternations rounds of
-    gn_iters_per_round pooled pose steps.  A stalled line search ends its
-    round; the loop stops early once a round's last accepted step (zero if
-    none) falls under both pose tolerances.
+    gn_iters_per_round pooled pose steps over (x, y, yaw), starting from
+    the prior's position and yaw = x_prior.orientation[2].  A stalled line
+    search ends its round; the loop stops early once a round's last
+    accepted step (zero if none) falls under both pose tolerances.
 
     Each iterate costs one map evaluation.  A line-search trial builds its
-    candidate exactly as the next iterate: p + dp, and the orientation
-    log(R_body exp(dphi)) re-expanded to a rotation.  The accepted trial's
+    candidate exactly as the next iterate: p + (dx, dy, 0) and the wrapped
+    yaw + dyaw, turned into a rotation by rot_z.  The accepted trial's
     fields and residual become the next iterate, so a Gauss-Newton step
     only adds the Jacobian's gradient lookup, and the returned
     residual_norm is the pooled norm at the returned pose.
@@ -229,47 +238,40 @@ def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
     # Calibrated readings H theta, fixed while the calibration is.
     pred = np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
-    mask = np.asarray(config.state_mask, dtype=bool)
 
     stalled = False
     rounds = 0
-    x = x_prior.copy()
+    x = _pose(x_prior.position.copy(), x_prior.orientation[2])
     try:
-        it = _evaluate(snap, pred, x, x.rotation(), grid)
+        it = _evaluate(snap, pred, x, grid)
         for rounds in range(1, config.max_alternations + 1):
             dp_norm = 0.0
-            dphi_norm = 0.0
+            dyaw = 0.0
             for _ in range(config.gn_iters_per_round):
-                jac = _jacobian_all(snap, grid, it.rotations, it.positions,
-                                    it.g, it.r_body)
+                jac = _jacobian_all(grid, it.rotations, it.positions,
+                                    it.fields, it.x.position)
                 tried = []
 
                 def trial_norm(dx, _it=it, _tried=tried):
-                    position = _it.x.position + dx.dp
-                    if np.any(dx.dphi):
-                        x_t = PoseState(position,
-                                        log_so3(_it.r_body @ exp_so3(dx.dphi)))
-                        r_t = x_t.rotation()
-                    else:
-                        x_t = PoseState(position, _it.x.orientation.copy())
-                        r_t = _it.r_body
+                    x_t = _pose(_it.x.position + (dx[0], dx[1], 0.0),
+                                _it.x.orientation[2] + dx[2])
                     try:
-                        _tried.append(_evaluate(snap, pred, x_t, r_t, grid))
+                        _tried.append(_evaluate(snap, pred, x_t, grid))
                     except OutOfMapError:
                         return None
                     return _tried[-1].norm
 
                 dx, step_stalled = gauss_newton_step(
-                    it.residual.reshape(-1), jac.reshape(-1, STATE_DIM),
-                    mask, config.gn_damping, trial_norm)
+                    it.residual.reshape(-1), jac.reshape(-1, 3),
+                    config.state_mask, config.gn_damping, trial_norm)
                 if step_stalled:
                     stalled = True
                     break
                 it = tried[-1]
                 x = it.x
-                dp_norm = dx.norm_translation()
-                dphi_norm = dx.norm_rotation()
-            if dp_norm < config.pose_tol_m and dphi_norm < config.pose_tol_rad:
+                dp_norm = math.hypot(dx[0], dx[1])
+                dyaw = abs(dx[2])
+            if dp_norm < config.pose_tol_m and dyaw < config.pose_tol_rad:
                 break
     except OutOfMapError:
         return AlternateResult(x, True, stalled, rounds, np.inf)
@@ -312,7 +314,7 @@ def rls_update(state: RlsState, h: np.ndarray, g: np.ndarray) -> RlsState:
 class EstimatorOutput:
     timestamps: np.ndarray  # (T,)
     positions: np.ndarray  # (T, 3)
-    orientations: np.ndarray  # (T, 3) rotation vectors
+    orientations: np.ndarray  # (T, 3) rotation vectors (0, 0, yaw)
     thetas: np.ndarray  # (T, N, 12) post-filter calibration per frame
     fallbacks: np.ndarray  # (T,) bool
     alternations: np.ndarray  # (T,)
@@ -329,9 +331,10 @@ class EstimatorOutput:
 
 
 def _propagate_prior(x: PoseState, frame: DatasetFrame) -> PoseState:
-    r = x.rotation()
-    return PoseState(x.position + r @ frame.odom_dp,
-                     log_so3(r @ frame.odom_rotation()))
+    yaw = x.orientation[2]
+    dr = frame.odom_rotation()
+    return _pose(x.position + rot_z(yaw) @ frame.odom_dp,
+                 yaw + math.atan2(dr[1, 0], dr[0, 0]))
 
 
 def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
@@ -347,7 +350,8 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
     step diverges (residual above threshold or out-of-map query) the
     reference pose is substituted for the frame and flagged, as the
     fallback relocalization policy prescribes.  A dataset holding a
-    non-finite value is rejected before any frame runs.
+    non-finite value, or a rotation other than a unit quaternion about z,
+    is rejected before any frame runs.
     """
     if not frames:
         raise ConfigurationError("empty dataset")
@@ -356,6 +360,13 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
         if not all(np.all(np.isfinite(v)) for v in values):
             raise DatasetSchemaError(
                 f"frame {k} (t={f.t}) holds a non-finite value")
+        for name in ("odom_dq", "gt_q"):
+            q = getattr(f, name)  # wxyz
+            if not np.all(np.abs([np.linalg.norm(q) - 1.0, q[1], q[2]])
+                          <= QUAT_TOL):
+                raise DatasetSchemaError(
+                    f"frame {k} (t={f.t}): {name} is not a unit quaternion "
+                    "about z")
     xmin, xmax, ymin, ymax = grid.extent()
     gt = np.stack([f.gt_p for f in frames])
     if (gt[:, 0].min() < xmin or gt[:, 0].max() > xmax
@@ -382,9 +393,10 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
         window.push(frame)
         result = alternate(window, thetas, x, grid, config)
         fallback = result.diverged
-        x = frame.gt_pose() if fallback else result.x
+        x = (_pose(frame.gt_p.copy(), frame.gt_pose().orientation[2])
+             if fallback else result.x)
         if config.calibrate:
-            r_body = x.rotation()
+            r_body = rot_z(x.orientation[2])
             sensor_r = np.einsum("ab,nbc->nac", r_body, ext_r)
             sensor_p = np.einsum("ab,nb->na", r_body, ext_p) + x.position
             try:
@@ -409,11 +421,6 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
         np.array(alt_out), np.array(res_out), np.array(ms_out))
 
 
-def yaw_of(orientation: np.ndarray) -> float:
-    r = exp_so3(orientation)
-    return float(np.arctan2(r[1, 0], r[0, 0]))
-
-
 def write_trajectory_csv(output: EstimatorOutput, path) -> None:
     with open(path, "w") as f:
         f.write("t,px,py,pz,yaw,fallback,iters,resid,ms\n")
@@ -422,7 +429,7 @@ def write_trajectory_csv(output: EstimatorOutput, path) -> None:
             f.write(",".join([
                 repr(float(output.timestamps[k])),
                 repr(float(p[0])), repr(float(p[1])), repr(float(p[2])),
-                repr(yaw_of(output.orientations[k])),
+                repr(float(output.orientations[k, 2])),
                 str(int(output.fallbacks[k])),
                 str(int(output.alternations[k])),
                 repr(float(output.residuals[k])),

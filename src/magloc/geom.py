@@ -1,12 +1,15 @@
 """Rotation and rigid-transform primitives.
 
 Orientation is carried as an axis-angle 3-vector (rotation vector) and
-converted to a 3x3 matrix at use sites, keeping the pose state
-6-dimensional.  Pose perturbations apply the translation additively in the
-world frame and the rotation as a right-multiplied exponential.
+converted to a 3x3 matrix at use sites.  The estimator's state is planar,
+(x, y, yaw), with the orientation (0, 0, yaw) turned into a matrix by
+rot_z; the SO(3) maps serve dataset quaternions, sensor extrinsics and
+the simulator.  Pose perturbations apply the translation additively in
+the world frame and the rotation as a right-multiplied exponential.
 """
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,18 +31,10 @@ def skew(v: np.ndarray) -> np.ndarray:
     ])
 
 
-def skew_many(v: np.ndarray) -> np.ndarray:
-    """skew() over the last axis of a (..., 3) array, returning (..., 3, 3)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    out[..., 0, 1] = -z
-    out[..., 0, 2] = y
-    out[..., 1, 0] = z
-    out[..., 1, 2] = -x
-    out[..., 2, 0] = -y
-    out[..., 2, 1] = x
-    return out
+def rot_z(yaw: float) -> np.ndarray:
+    """Rotation by yaw radians about the z axis."""
+    c, s = math.cos(yaw), math.sin(yaw)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def exp_so3(phi: np.ndarray) -> np.ndarray:

@@ -19,9 +19,7 @@ from .gpr import KernelParams
 from .magmap import DipoleSource, FieldModel
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
                   default_rig, sample_distortions)
-from .estimator import (MASK_FULL, MASK_PLANAR, MASK_PLANAR_XY, SolverConfig)
-
-_MASKS = {"xy": MASK_PLANAR_XY, "xyyaw": MASK_PLANAR, "full": MASK_FULL}
+from .estimator import SolverConfig
 
 
 @dataclass
@@ -158,13 +156,6 @@ def kernel_params(config: ScenarioConfig) -> KernelParams:
 def solver_config(config: ScenarioConfig, **overrides) -> SolverConfig:
     params = dict(config.solver)
     params.update(overrides)
-    mask = params.get("state_mask", "xyyaw")
-    if isinstance(mask, str):
-        if mask not in _MASKS:
-            raise ConfigurationError(f"unknown state mask {mask!r}")
-        params["state_mask"] = _MASKS[mask]
-    else:
-        params["state_mask"] = tuple(bool(v) for v in mask)
     params.setdefault("meas_sigma", config.noise.get("meas_sigma", 0.2))
     try:
         return SolverConfig(**params)

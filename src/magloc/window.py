@@ -146,8 +146,8 @@ class SlidingWindow:
         rel_p = self.rel_translations.copy()
         ext_r = self.extrinsic_rotations.copy()
         ext_p = self.extrinsic_translations.copy()
-        # relR @ extR, laid out transposed in memory: sensor_poses and the
-        # pose Jacobian work with its transpose, which is then contiguous.
+        # relR @ extR, laid out transposed in memory: sensor_poses works
+        # with its transpose, which is then contiguous.
         rel_ext_r = np.matmul(ext_r.swapaxes(-1, -2)[None],
                               rel_r.swapaxes(-1, -2)[:, None]).swapaxes(-1, -2)
         offsets = rel_p[:, None, :] + np.matmul(

@@ -1,13 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from magloc import estimator
 from magloc.errors import DatasetSchemaError
-from magloc.estimator import (MASK_FULL, MASK_PLANAR, MASK_PLANAR_XY,
-                              RlsState, SolverConfig, alternate,
+from magloc.estimator import (RlsState, SolverConfig, alternate,
                               gauss_newton_step, pose_jacobian, pose_residual,
                               rls_update, run, summary_dict)
-from magloc.geom import PosePerturbation, PoseState, boxplus, skew
+from magloc.geom import PoseState, exp_so3, log_so3, rot_z, skew
 from magloc.magmap import (MagneticGridMap, DipoleSource, FieldModel,
                            interpolate_many, rasterize)
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
@@ -17,6 +18,16 @@ from magloc.window import SlidingWindow, regressor, sensor_poses
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
+
+
+def shifted(x, dx=0.0, dy=0.0, dyaw=0.0):
+    """Planar pose x moved by (dx, dy) and turned by dyaw about z."""
+    return PoseState(x.position + np.array([dx, dy, 0.0]),
+                     np.array([0.0, 0.0, x.orientation[2] + dyaw]))
+
+
+def wrapped(angle):
+    return np.angle(np.exp(1j * np.asarray(angle)))
 
 
 def affine_grid(a, c, origin=(0.0, 0.0), resolution=0.25, nx=25, ny=21):
@@ -85,9 +96,9 @@ class TestPoseResidual:
         dp = np.array([grid.resolution, 0.0, 0.0])
         sensor = 2
         r0 = pose_residual(w, calibs[sensor].theta(), x_gt, grid, sensor)
-        x1 = boxplus(x_gt, PosePerturbation(dp=dp))
+        x1 = shifted(x_gt, dx=dp[0])
         r1 = pose_residual(w, calibs[sensor].theta(), x1, grid, sensor)
-        rot, _ = sensor_poses(snap, x_gt.rotation(), x_gt.position)
+        rot, _ = sensor_poses(snap, rot_z(x_gt.orientation[2]), x_gt.position)
         predicted = np.concatenate([
             -(rot[j, sensor].T @ a @ dp) for j in range(len(snap))])
         np.testing.assert_allclose(r1 - r0, predicted, atol=1e-9)
@@ -95,7 +106,7 @@ class TestPoseResidual:
     def test_permutation_invariance(self, rng):
         # Relabeling sensors permutes per-sensor residuals identically.
         _, _, grid, rig, calibs, frames, w, x_gt = affine_setup(rng)
-        x = boxplus(x_gt, PosePerturbation(dp=np.array([0.02, 0.01, 0.0])))
+        x = shifted(x_gt, 0.02, 0.01)
         perm = rng.permutation(len(rig))
         rig_p = [rig[i] for i in perm]
         w_p = SlidingWindow(0.4, rig_p)
@@ -114,8 +125,9 @@ class TestPoseResidual:
 
 class TestPoseJacobian:
     def test_constant_map_blocks(self, rng):
-        # Constant map: translation block vanishes and the rotation block
-        # of the newest entry (zero-offset sensor) is -[R^T M]x.
+        # Constant map: the x and y columns vanish and the yaw column of
+        # the newest entry (zero-offset sensor) is z x R^T M, the yaw
+        # column of -[R^T M]x.
         _, grid = affine_grid(np.zeros((3, 3)), np.array([30.0, -10.0, 20.0]))
         rig = [type(default_rig()[0])(np.eye(3), np.zeros(3))]
         w = SlidingWindow(0.4, rig)
@@ -124,28 +136,29 @@ class TestPoseJacobian:
                             np.zeros((1, 3)), x.position,
                             quat_from_rotation(x.rotation())))
         jac = pose_jacobian(w, x, grid, 0)
-        np.testing.assert_allclose(jac[:, :3], 0.0, atol=1e-12)
+        assert jac.shape == (3, 3)
+        np.testing.assert_allclose(jac[:, :2], 0.0, atol=1e-12)
         rtm = x.rotation().T @ np.array([30.0, -10.0, 20.0])
-        np.testing.assert_allclose(jac[:, 3:], -skew(rtm), atol=1e-10)
+        np.testing.assert_allclose(jac[:, 2], -skew(rtm)[:, 2], atol=1e-10)
 
-    def test_matches_boxplus_finite_differences(self, rng):
+    def test_matches_planar_finite_differences(self, rng):
+        # Central differences over (x, y, yaw), applied to the position
+        # and the yaw directly.
         checked = 0
         while checked < 8:
             a, c, grid, rig, calibs, _, w, x_gt = affine_setup(rng)
-            x = boxplus(x_gt, PosePerturbation(
-                dp=np.array([rng.uniform(-0.05, 0.05),
-                             rng.uniform(-0.05, 0.05), 0.0]),
-                dphi=rng.normal(size=3) * 0.02))
+            x = shifted(x_gt, rng.uniform(-0.05, 0.05),
+                        rng.uniform(-0.05, 0.05), rng.normal() * 0.02)
             sensor = int(rng.integers(len(rig)))
             theta = calibs[sensor].theta()
             jac = pose_jacobian(w, x, grid, sensor)
             eps = 1e-6
             fd = np.zeros_like(jac)
-            for k in range(6):
-                vec = np.zeros(6)
+            for k in range(3):
+                vec = np.zeros(3)
                 vec[k] = eps
-                up = boxplus(x, PosePerturbation(vec[:3], vec[3:]))
-                dn = boxplus(x, PosePerturbation(-vec[:3], -vec[3:]))
+                up = shifted(x, *vec)
+                dn = shifted(x, *-vec)
                 fd[:, k] = (pose_residual(w, theta, up, grid, sensor)
                             - pose_residual(w, theta, dn, grid, sensor)) / (2 * eps)
             assert np.abs(jac - fd).max() / max(np.abs(fd).max(), 1.0) < 1e-4
@@ -155,72 +168,103 @@ class TestPoseJacobian:
         # Flipping the residual sign convention flips the Jacobian: checked
         # through the descent direction J^T r pointing downhill.
         _, _, grid, rig, calibs, _, w, x_gt = affine_setup(rng)
-        x = boxplus(x_gt, PosePerturbation(dp=np.array([0.05, 0.0, 0.0])))
+        x = shifted(x_gt, 0.05)
         sensor = 1
         theta = calibs[sensor].theta()
         r = pose_residual(w, theta, x, grid, sensor)
         jac = pose_jacobian(w, x, grid, sensor)
         step = -np.linalg.lstsq(jac[:, :2], r, rcond=None)[0]
-        x2 = boxplus(x, PosePerturbation(dp=np.array([step[0], step[1], 0.0])))
+        x2 = shifted(x, step[0], step[1])
         r2 = pose_residual(w, theta, x2, grid, sensor)
         assert np.linalg.norm(r2) < np.linalg.norm(r)
 
 
 class TestGaussNewtonStep:
     def test_zero_residual_zero_step(self, rng):
-        jac = rng.normal(size=(12, 6))
-        dx, stalled = gauss_newton_step(np.zeros(12), jac, (True,) * 6, 1e-9)
+        jac = rng.normal(size=(12, 3))
+        dx, stalled = gauss_newton_step(np.zeros(12), jac, "xyyaw", 1e-9)
         assert not stalled
-        assert dx.norm_translation() < 1e-9
-        assert dx.norm_rotation() < 1e-9
+        assert dx.shape == (3,)
+        assert np.abs(dx).max() < 1e-9
 
     def test_linear_problem_one_step_exact(self, rng):
         # Normal-equation oracle: an exactly affine residual is minimized
         # in a single undamped step.
-        jac = rng.normal(size=(30, 6))
-        target = rng.normal(size=6) * 0.1
+        jac = rng.normal(size=(30, 3))
+        target = rng.normal(size=3) * 0.1
         resid = jac @ (-target)  # r(dx) = J (dx - target)
         expected = np.linalg.solve(jac.T @ jac, jac.T @ (-resid))
-        dx, stalled = gauss_newton_step(resid, jac, (True,) * 6, 0.0)
+        dx, stalled = gauss_newton_step(resid, jac, "xyyaw", 0.0)
         assert not stalled
-        got = np.concatenate([dx.dp, dx.dphi])
-        np.testing.assert_allclose(got, expected, atol=1e-9)
-        np.testing.assert_allclose(got, target, atol=1e-9)
+        np.testing.assert_allclose(dx, expected, atol=1e-9)
+        np.testing.assert_allclose(dx, target, atol=1e-9)
 
     def test_masking(self, rng):
-        jac = rng.normal(size=(30, 6))
+        jac = rng.normal(size=(30, 3))
         resid = rng.normal(size=30)
-        dx, _ = gauss_newton_step(resid, jac,
-                                  (True, False, False, False, False, False), 1e-9)
-        assert dx.dp[1] == 0.0 and dx.dp[2] == 0.0
-        assert np.all(dx.dphi == 0.0)
-        assert dx.dp[0] != 0.0
+        dx, _ = gauss_newton_step(resid, jac, "xy", 1e-9)
+        assert dx[2] == 0.0
+        assert dx[0] != 0.0 and dx[1] != 0.0
 
     def test_halving_rejects_bad_step(self, rng):
-        jac = rng.normal(size=(12, 6))
+        jac = rng.normal(size=(12, 3))
         resid = rng.normal(size=12)
         # A trial function that never improves forces the stall path.
-        dx, stalled = gauss_newton_step(resid, jac, (True,) * 6, 1e-9,
+        dx, stalled = gauss_newton_step(resid, jac, "xyyaw", 1e-9,
                                         trial_norm_fn=lambda dx: np.inf)
         assert stalled
-        assert dx.norm_translation() == 0.0
+        assert np.array_equal(dx, np.zeros(3))
 
     def test_pooling_matches_stacking(self, rng):
         # Independent oracle: the damped normal equations restricted to the
         # masked columns, solved densely; masked-out entries stay zero.
-        jac = rng.normal(size=(27, 6))
+        jac = rng.normal(size=(27, 3))
         resid = rng.normal(size=27)
         damping = 1e-3
-        for mask in (MASK_FULL, MASK_PLANAR, MASK_PLANAR_XY):
-            keep = np.array(mask)
-            jm = jac[:, keep]
-            expected = np.zeros(6)
-            expected[keep] = np.linalg.solve(
-                jm.T @ jm + damping * np.eye(keep.sum()), -jm.T @ resid)
+        for mask, n in (("xyyaw", 3), ("xy", 2)):
+            jm = jac[:, :n]
+            expected = np.zeros(3)
+            expected[:n] = np.linalg.solve(
+                jm.T @ jm + damping * np.eye(n), -jm.T @ resid)
             dx, stalled = gauss_newton_step(resid, jac, mask, damping)
             assert not stalled
-            np.testing.assert_allclose(np.concatenate([dx.dp, dx.dphi]),
-                                       expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx, expected, rtol=0, atol=1e-12)
+
+
+class TestSolverConfig:
+    def test_divergence_threshold(self):
+        assert SolverConfig(meas_sigma=0.2).divergence_threshold(8, 3) == (
+            pytest.approx(10.0 * 0.2 * math.sqrt(3 * 8 * 3)))
+        assert SolverConfig(divergence_residual=1.5).divergence_threshold(
+            8, 3) == 1.5
+        # No noise scale to base the threshold on, or no calibration to
+        # bring the residual down to it: the fallback stays off.
+        assert SolverConfig(meas_sigma=0.0).divergence_threshold(8, 3) == np.inf
+        assert SolverConfig(calibrate=False).divergence_threshold(8, 3) == np.inf
+
+
+class TestPropagatePrior:
+    def test_matches_so3_composition(self, rng):
+        # Oracle: the rotation-vector path the planar update replaces,
+        # position p + R dp and orientation log(R dR), over yaw-only
+        # increments including turns across +-pi.
+        for _ in range(200):
+            yaw = rng.uniform(-np.pi, np.pi)
+            x = PoseState(rng.normal(size=3), np.array([0.0, 0.0, yaw]))
+            dr = exp_so3(np.array([0.0, 0.0, rng.normal() * 1.5]))
+            dp = rng.normal(size=3) * 0.1
+            frame = DatasetFrame(0.0, quat_from_rotation(dr), dp,
+                                 np.zeros((1, 3)), np.zeros(3),
+                                 np.array([1.0, 0.0, 0.0, 0.0]))
+            out = estimator._propagate_prior(x, frame)
+            r = exp_so3(x.orientation)
+            np.testing.assert_allclose(out.position, x.position + r @ dp,
+                                       rtol=0, atol=1e-12)
+            expected = log_so3(r @ frame.odom_rotation())
+            assert np.array_equal(out.orientation[:2], [0.0, 0.0])
+            assert abs(wrapped(out.orientation[2] - expected[2])) < 1e-12
+            assert np.abs(expected[:2]).max() < 1e-12
+            assert -np.pi < out.orientation[2] <= np.pi
 
 
 class TestAlternate:
@@ -239,8 +283,7 @@ class TestAlternate:
         _, _, grid, rig, calibs, _, w, x_gt = affine_setup(rng, distorted=False)
         cfg = SolverConfig(max_alternations=20, calibrate=False)
         thetas = np.stack([identity_theta() for _ in rig])
-        x0 = boxplus(x_gt, PosePerturbation(
-            dp=np.array([0.05, -0.04, 0.0]), dphi=np.array([0, 0, 0.03])))
+        x0 = shifted(x_gt, 0.05, -0.04, 0.03)
         result = alternate(w, thetas, x0, grid, cfg)
         assert not result.diverged
         assert np.linalg.norm(result.x.position - x_gt.position) < 2e-3
@@ -265,7 +308,7 @@ class TestAlternate:
         # Relabeling sensors leaves the pose step untouched.
         _, _, grid, rig, calibs, frames, w, x_gt = affine_setup(rng)
         cfg = SolverConfig(divergence_residual=np.inf)
-        x0 = boxplus(x_gt, PosePerturbation(dp=np.array([0.02, -0.01, 0.0])))
+        x0 = shifted(x_gt, 0.02, -0.01)
         thetas = np.stack([identity_theta() for _ in rig])
         base = alternate(w, thetas, x0, grid, cfg)
 
@@ -302,14 +345,12 @@ class TestAlternate:
         # the pooled residual there reproduces it bit for bit.
         grid, w, thetas, x_gt = self._dipole_window()
         snap = w.snapshot()
-        for mask in (MASK_PLANAR, MASK_PLANAR_XY, MASK_FULL):
-            for offset in ([0.03, -0.02, 0.0, 0.0, 0.0, 0.02],
-                           [-0.06, 0.04, 0.0, 0.01, -0.01, -0.05]):
+        for mask in ("xyyaw", "xy"):
+            for offset in ([0.03, -0.02, 0.02], [-0.06, 0.04, -0.05]):
                 cfg = SolverConfig(state_mask=mask, divergence_residual=np.inf)
-                x0 = boxplus(x_gt, PosePerturbation(np.array(offset[:3]),
-                                                    np.array(offset[3:])))
+                x0 = shifted(x_gt, *offset)
                 result = alternate(w, thetas, x0, grid, cfg)
-                rot, pos = sensor_poses(snap, result.x.rotation(),
+                rot, pos = sensor_poses(snap, rot_z(result.x.orientation[2]),
                                         result.x.position)
                 m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
                 g = np.einsum("...ji,...j->...i", rot, m)
@@ -351,8 +392,7 @@ class TestAlternate:
                             counted("gradient", estimator.gradient_many))
         monkeypatch.setattr(estimator, "gauss_newton_step", counted_step)
         grid, w, thetas, x_gt = self._dipole_window()
-        x0 = boxplus(x_gt, PosePerturbation(np.array([-0.06, 0.04, 0.0]),
-                                            np.array([0.0, 0.0, -0.05])))
+        x0 = shifted(x_gt, -0.06, 0.04, -0.05)
         result = alternate(w, thetas, x0, grid,
                            SolverConfig(divergence_residual=np.inf))
         # The case exercises several steps and at least one halving.
@@ -470,8 +510,7 @@ class TestRun:
                                NoiseConfig(meas_sigma=0.2, odom_trans_sigma=0.005,
                                            odom_rot_sigma=0.002),
                                np.random.default_rng(2))
-        start = boxplus(frames[0].gt_pose(),
-                        PosePerturbation(dp=np.array([0.05, 0.0, 0.0])))
+        start = shifted(frames[0].gt_pose(), 0.05)
         output = run(frames, grid, rig, SolverConfig(), initial_pose=start)
         errors = np.linalg.norm(output.positions - np.stack([f.gt_p for f in frames]),
                                 axis=1)
@@ -526,6 +565,24 @@ class TestRun:
                 with pytest.raises(DatasetSchemaError, match="frame 7"):
                     run(frames, grid, rig, SolverConfig())
 
+    def test_non_planar_rotation_rejected(self):
+        # A rotation the planar state cannot represent: off the z axis, or
+        # not a unit quaternion at all.
+        field, grid = dipole_world()
+        poses = generate_trajectory([[1.0, 1.0], [3.0, 1.0]], 0.5, 10.0)
+        rig = default_rig()
+        calibs = [CalibrationParams.identity() for _ in rig]
+        tilted = quat_from_rotation(exp_so3(np.array([1e-3, 0.0, 0.3])))
+        for attr, q in (("odom_dq", [1.0, 1.0, 0.0, 0.0]),
+                        ("odom_dq", [1.0 + 1e-6, 0.0, 0.0, 0.0]),
+                        ("gt_q", tilted),
+                        ("gt_q", [0.0, 0.0, 0.0, 0.0])):
+            frames = build_dataset(field, poses, 10.0, rig, calibs,
+                                   ZERO_NOISE, np.random.default_rng(1))
+            setattr(frames[7], attr, np.array(q))
+            with pytest.raises(DatasetSchemaError, match=f"frame 7.*{attr}"):
+                run(frames, grid, rig, SolverConfig())
+
     def test_csv_outputs(self, tmp_path, rng):
         from magloc.estimator import write_theta_trace_csv, write_trajectory_csv
         from magloc.evaluate import read_trajectory_csv
@@ -541,6 +598,7 @@ class TestRun:
         cols = read_trajectory_csv(tmp_path / "traj.csv")
         assert len(cols["t"]) == len(frames)
         np.testing.assert_array_equal(cols["px"], output.positions[:, 0])
+        np.testing.assert_array_equal(cols["yaw"], output.orientations[:, 2])
         summary = summary_dict(output)
         assert summary["n_frames"] == len(frames)
         assert len(summary["final_thetas"]) == len(rig)

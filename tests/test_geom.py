@@ -1,7 +1,7 @@
 import numpy as np
 
 from magloc.geom import (PosePerturbation, PoseState, RigidTransform, boxplus,
-                         compose, exp_so3, inverse, log_so3, skew, skew_many)
+                         compose, exp_so3, inverse, log_so3, rot_z, skew)
 
 from conftest import random_rotation
 
@@ -23,12 +23,18 @@ class TestSkew:
         s = skew(rng.normal(size=3))
         np.testing.assert_allclose(s, -s.T)
 
-    def test_skew_many_matches_scalar(self, rng):
-        v = rng.normal(size=(4, 5, 3))
-        out = skew_many(v)
-        for i in range(4):
-            for j in range(5):
-                np.testing.assert_array_equal(out[i, j], skew(v[i, j]))
+
+
+class TestRotZ:
+    def test_matches_exp_of_z_rotation_vector(self, rng):
+        for yaw in np.concatenate([rng.uniform(-7.0, 7.0, size=50),
+                                   [0.0, np.pi, -np.pi, np.pi / 2]]):
+            r = rot_z(yaw)
+            np.testing.assert_allclose(r, exp_so3(np.array([0.0, 0.0, yaw])),
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(r.T @ r, np.eye(3), rtol=0, atol=1e-15)
+            assert np.array_equal(r[2], [0.0, 0.0, 1.0])
+            assert np.array_equal(r[:, 2], [0.0, 0.0, 1.0])
 
 
 class TestExpLog:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, evaluate, gpr, magmap, scenario, sim
-from .errors import ConfigurationError
+from .errors import AlignmentError, ConfigurationError
 from .sim import CalibrationParams
 
 MAP_TRUE = "map_true.mag"
@@ -203,6 +203,14 @@ def cmd_eval(args) -> int:
     fallbacks = int(np.count_nonzero(columns["fallback"]))
     report["fallback_frames"] = fallbacks
     report["fallback_rate"] = fallbacks / len(columns["fallback"])
+    # The ATE of the estimated frames alone, aligned on them.
+    estimated = columns["fallback"] == 0
+    try:
+        report["ate_m_estimated"] = evaluate.ate(evaluate.pair_from_arrays(
+            columns["t"][estimated], est_p[estimated], ref_t, ref_p),
+            max_dt=max_dt)
+    except AlignmentError:
+        report["ate_m_estimated"] = None
     out = run_dir if args.out is None else _out_dir(args)
     _write_json(report, Path(out) / REPORT)
     print(f"eval: ATE {report['ate_m']:.3f} m, "

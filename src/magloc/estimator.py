@@ -16,13 +16,15 @@ readings H theta are fixed for the whole block and computed once.  Each
 line-search trial builds its candidate pose exactly as the next iterate
 would be built and keeps the sensor poses, map fields and residual it
 evaluated; the accepted trial becomes the next iterate, so a Gauss-Newton
-step adds only the Jacobian's gradient lookup.
+step adds only the Jacobian's gradient lookup.  The RLS update takes the
+newest entry's fields from the last iterate, so it needs no lookup of its
+own.
 
 The reference pose is substituted and flagged when the pose step fails:
 the pooled residual ends above the configured threshold, or a map query
 leaves the mapped region.  A stalled line search is not a failure; the
-round simply stops at the current pose.  The run continues either way and
-the filter keeps ingesting consistent data.
+pose block simply stops at the current pose.  The run continues either
+way and the filter keeps ingesting consistent data.
 """
 
 import math
@@ -44,16 +46,22 @@ from .window import SlidingWindow, WindowSnapshot, regressor, sensor_poses
 STATE_MASKS = {"xy": 2, "xyyaw": 3}
 # Largest deviation from a unit quaternion about z that a dataset may carry.
 QUAT_TOL = 1e-9
+# Levenberg damping added to the Gauss-Newton normal matrix.
+GN_DAMPING = 1e-6
+# The pose block ends at the first accepted step under both tolerances.
+POSE_TOL_M = 1e-4
+POSE_TOL_RAD = 1e-4
 
 
 @dataclass
 class SolverConfig:
-    gn_iters_per_round: int = 3
+    """Solver settings a scenario's `solver` section may set.
+
+    max_alternations caps the Gauss-Newton steps of one frame's pose block.
+    """
+
     max_alternations: int = 10
-    pose_tol_m: float = 1e-4
-    pose_tol_rad: float = 1e-4
     state_mask: str = "xyyaw"
-    gn_damping: float = 1e-6
     # None = auto threshold 10 * meas_sigma * sqrt(3 * N * window), or inf
     # when calibration is off or meas_sigma is 0; inf disables the
     # residual-based fallback entirely.
@@ -68,16 +76,14 @@ class SolverConfig:
             raise ConfigurationError(
                 f"state_mask must be 'xy' or 'xyyaw', got {self.state_mask!r}")
         # Written as "not (ok)" so that NaN fails too.
-        for name in ("max_alternations", "gn_iters_per_round"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or not value >= 1):
-                raise ConfigurationError(
-                    f"{name} must be an integer >= 1, got {value!r}")
+        value = self.max_alternations
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or not value >= 1):
+            raise ConfigurationError(
+                f"max_alternations must be an integer >= 1, got {value!r}")
         # meas_sigma defaults to the scenario's noise level, which is 0 for
         # a noiseless dataset, so 0 stays allowed.
-        for name in ("window_m", "gn_damping", "pose_tol_m", "pose_tol_rad",
-                     "meas_sigma"):
+        for name in ("window_m", "meas_sigma"):
             if not getattr(self, name) >= 0.0:
                 raise ConfigurationError(
                     f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -92,10 +98,6 @@ class SolverConfig:
             # run to the reference trajectory.
             return np.inf
         return 10.0 * self.meas_sigma * np.sqrt(3.0 * n_sensors * window_len)
-
-
-def _as_snapshot(window) -> WindowSnapshot:
-    return window.snapshot() if isinstance(window, SlidingWindow) else window
 
 
 def _fields_at(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap):
@@ -114,10 +116,10 @@ def _pose(position: np.ndarray, yaw: float) -> PoseState:
     return PoseState(position, np.array([0.0, 0.0, yaw]))
 
 
-def pose_residual(window, theta: np.ndarray, x: PoseState,
+def pose_residual(window: SlidingWindow, theta: np.ndarray, x: PoseState,
                   grid: MagneticGridMap, sensor: int) -> np.ndarray:
     """Stacked (3*J,) residual of one sensor at the planar state x."""
-    snap = _as_snapshot(window)
+    snap = window.snapshot()
     g = _fields_at(snap, x, grid)[3]
     return (snap.regressors[:, sensor] @ theta - g[:, sensor]).ravel()
 
@@ -145,10 +147,10 @@ def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
     return -np.matmul(rotations.swapaxes(-1, -2), grads)
 
 
-def pose_jacobian(window, x: PoseState, grid: MagneticGridMap,
+def pose_jacobian(window: SlidingWindow, x: PoseState, grid: MagneticGridMap,
                   sensor: int) -> np.ndarray:
     """Stacked (3*J, 3) pose Jacobian of one sensor; see _jacobian_all."""
-    rotations, positions, m, _ = _fields_at(_as_snapshot(window), x, grid)
+    rotations, positions, m, _ = _fields_at(window.snapshot(), x, grid)
     return _jacobian_all(grid, rotations, positions, m,
                          x.position)[:, sensor].reshape(-1, 3)
 
@@ -192,8 +194,11 @@ class AlternateResult:
     x: PoseState
     diverged: bool
     stalled: bool
-    alternations: int
+    alternations: int  # Gauss-Newton steps the pose block took
     residual_norm: float
+    # (N, 3) body-frame map field R^T M of the newest entry's sensors at x;
+    # None when a map query left the mapped region.
+    newest_fields: np.ndarray | None
 
 
 @dataclass
@@ -204,6 +209,7 @@ class _Iterate:
     rotations: np.ndarray  # (J, N, 3, 3) sensor rotations
     positions: np.ndarray  # (J, N, 3) sensor positions
     fields: np.ndarray  # (J, N, 3) world-frame map field M
+    body_fields: np.ndarray  # (J, N, 3) body-frame map field R^T M
     residual: np.ndarray  # (J, N, 3)
     norm: float
 
@@ -212,73 +218,71 @@ def _evaluate(snap: WindowSnapshot, pred: np.ndarray, x: PoseState,
               grid: MagneticGridMap) -> _Iterate:
     rotations, positions, m, g = _fields_at(snap, x, grid)
     residual = pred - g
-    return _Iterate(x, rotations, positions, m, residual,
+    return _Iterate(x, rotations, positions, m, g, residual,
                     float(np.linalg.norm(residual)))
 
 
-def alternate(window, thetas, x_prior: PoseState, grid: MagneticGridMap,
-              config: SolverConfig) -> AlternateResult:
+def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
+              grid: MagneticGridMap, config: SolverConfig) -> AlternateResult:
     """Pose block of the alternation: Gauss-Newton on one window.
 
     The calibration `thetas` is held fixed; `run` refines it afterwards
-    with the pose held fixed.  Runs up to max_alternations rounds of
-    gn_iters_per_round pooled pose steps over (x, y, yaw), starting from
-    the prior's position and yaw = x_prior.orientation[2].  A stalled line
-    search ends its round; the loop stops early once a round's last
-    accepted step (zero if none) falls under both pose tolerances.
+    with the pose held fixed.  Takes up to max_alternations pooled pose
+    steps over (x, y, yaw), starting from the prior's position and yaw =
+    x_prior.orientation[2].  The loop ends at the first accepted step under
+    both POSE_TOL_M and POSE_TOL_RAD, or at a stalled line search; the
+    returned `alternations` counts the steps taken.
 
     Each iterate costs one map evaluation.  A line-search trial builds its
     candidate exactly as the next iterate: p + (dx, dy, 0) and the wrapped
     yaw + dyaw, turned into a rotation by rot_z.  The accepted trial's
     fields and residual become the next iterate, so a Gauss-Newton step
     only adds the Jacobian's gradient lookup, and the returned
-    residual_norm is the pooled norm at the returned pose.
+    residual_norm and newest_fields are those at the returned pose.
     """
-    snap = _as_snapshot(window)
+    snap = window.snapshot()
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
     # Calibrated readings H theta, fixed while the calibration is.
     pred = np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
 
     stalled = False
-    rounds = 0
+    steps = 0
     x = _pose(x_prior.position.copy(), x_prior.orientation[2])
+    tried = []  # iterates the current step's line search evaluated
+
+    def trial_norm(dx):
+        x_t = _pose(it.x.position + (dx[0], dx[1], 0.0),
+                    it.x.orientation[2] + dx[2])
+        try:
+            tried.append(_evaluate(snap, pred, x_t, grid))
+        except OutOfMapError:
+            return None
+        return tried[-1].norm
+
     try:
         it = _evaluate(snap, pred, x, grid)
-        for rounds in range(1, config.max_alternations + 1):
-            dp_norm = 0.0
-            dyaw = 0.0
-            for _ in range(config.gn_iters_per_round):
-                jac = _jacobian_all(grid, it.rotations, it.positions,
-                                    it.fields, it.x.position)
-                tried = []
-
-                def trial_norm(dx, _it=it, _tried=tried):
-                    x_t = _pose(_it.x.position + (dx[0], dx[1], 0.0),
-                                _it.x.orientation[2] + dx[2])
-                    try:
-                        _tried.append(_evaluate(snap, pred, x_t, grid))
-                    except OutOfMapError:
-                        return None
-                    return _tried[-1].norm
-
-                dx, step_stalled = gauss_newton_step(
-                    it.residual.reshape(-1), jac.reshape(-1, 3),
-                    config.state_mask, config.gn_damping, trial_norm)
-                if step_stalled:
-                    stalled = True
-                    break
-                it = tried[-1]
-                x = it.x
-                dp_norm = math.hypot(dx[0], dx[1])
-                dyaw = abs(dx[2])
-            if dp_norm < config.pose_tol_m and dyaw < config.pose_tol_rad:
+        while steps < config.max_alternations:
+            jac = _jacobian_all(grid, it.rotations, it.positions, it.fields,
+                                it.x.position)
+            dx, stalled = gauss_newton_step(
+                it.residual.reshape(-1), jac.reshape(-1, 3),
+                config.state_mask, GN_DAMPING, trial_norm)
+            steps += 1
+            if stalled:
+                break
+            it = tried[-1]
+            tried.clear()
+            x = it.x
+            if math.hypot(dx[0], dx[1]) < POSE_TOL_M and abs(dx[2]) < POSE_TOL_RAD:
                 break
     except OutOfMapError:
-        return AlternateResult(x, True, stalled, rounds, np.inf)
+        return AlternateResult(x, True, stalled, steps, np.inf, None)
 
     threshold = config.divergence_threshold(snap.n_sensors, len(snap))
     diverged = bool(it.norm > threshold)
-    return AlternateResult(x, diverged, stalled, rounds, it.norm)
+    # Entries are oldest first, so the newest frame's sensors are the last row.
+    return AlternateResult(x, diverged, stalled, steps, it.norm,
+                           it.body_fields[-1])
 
 
 @dataclass
@@ -396,16 +400,20 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
         x = (_pose(frame.gt_p.copy(), frame.gt_pose().orientation[2])
              if fallback else result.x)
         if config.calibrate:
-            r_body = rot_z(x.orientation[2])
-            sensor_r = np.einsum("ab,nbc->nac", r_body, ext_r)
-            sensor_p = np.einsum("ab,nb->na", r_body, ext_p) + x.position
-            try:
-                m = interpolate_many(grid, sensor_p)
-                g = np.einsum("nba,nb->na", sensor_r, m)
+            g = result.newest_fields
+            if fallback:
+                # The pose block's fields are not at the reference pose.
+                r_body = rot_z(x.orientation[2])
+                sensor_r = np.einsum("ab,nbc->nac", r_body, ext_r)
+                sensor_p = np.einsum("ab,nb->na", r_body, ext_p) + x.position
+                try:
+                    m = interpolate_many(grid, sensor_p)
+                    g = np.einsum("nba,nb->na", sensor_r, m)
+                except OutOfMapError:
+                    g = None  # sensors marginally outside: skip this update
+            if g is not None:
                 for i in range(n_sensors):
                     rls_update(rls[i], regressor(frame.readings[i]), g[i])
-            except OutOfMapError:
-                pass  # sensors marginally outside: skip this frame's update
             thetas = np.stack([s.theta for s in rls])
         ms_out.append((time.perf_counter() - tic) * 1e3)
         t_out.append(frame.t)

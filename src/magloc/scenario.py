@@ -18,7 +18,7 @@ from .geom import exp_so3
 from .gpr import KernelParams
 from .magmap import DipoleSource, FieldModel
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
-                  default_rig, sample_distortions)
+                  default_rig, generate_trajectory, sample_distortions)
 from .estimator import SolverConfig
 
 
@@ -204,22 +204,12 @@ def coverage_waypoints(config: ScenarioConfig) -> list:
 
 
 def fingerprint_positions(config: ScenarioConfig) -> np.ndarray:
-    """(m, 3) sample positions along the coverage path at plane height."""
-    waypoints = [np.asarray(p, float) for p in coverage_waypoints(config)]
-    fp = config.fingerprints
-    seg_vecs = [b - a for a, b in zip(waypoints[:-1], waypoints[1:])]
-    seg_lens = [float(np.linalg.norm(v)) for v in seg_vecs]
-    total = float(np.sum(seg_lens))
-    n_samples = int(np.floor(total / fp.sample_spacing + 1e-9)) + 1
-    cum = np.concatenate([[0.0], np.cumsum(seg_lens)])
-    out = np.empty((n_samples, 3))
-    for k in range(n_samples):
-        s = min(k * fp.sample_spacing, total)
-        seg = min(int(np.searchsorted(cum[1:], s, side="right")), len(seg_vecs) - 1)
-        frac = (s - cum[seg]) / seg_lens[seg] if seg_lens[seg] > 0 else 0.0
-        xy = waypoints[seg] + frac * seg_vecs[seg]
-        out[k] = (xy[0], xy[1], config.world.plane_height)
-    return out
+    """(m, 3) samples every sample_spacing meters of arc length along the
+    coverage path, at plane height."""
+    poses = generate_trajectory(coverage_waypoints(config),
+                                config.fingerprints.sample_spacing, 1.0,
+                                config.world.plane_height)
+    return np.stack([p.position for p in poses])
 
 
 def reference_config(seed: int = 7) -> ScenarioConfig:

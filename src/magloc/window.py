@@ -52,7 +52,7 @@ def regressor_many(b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WindowSnapshot:
-    """Immutable stacked copy of the window state, oldest entry first.
+    """Stacked copy of what the pose block reads, oldest entry first.
 
     rel_ext_rotations and body_offsets are the state-independent parts of
     the accumulated sensor poses (relR @ extR and relp + relR @ extp),
@@ -60,17 +60,12 @@ class WindowSnapshot:
     matmuls against the body pose.
     """
 
-    rel_rotations: np.ndarray  # (J, 3, 3)
-    rel_translations: np.ndarray  # (J, 3)
     regressors: np.ndarray  # (J, N, 3, 12)
-    readings: np.ndarray  # (J, N, 3)
-    extrinsic_rotations: np.ndarray  # (N, 3, 3)
-    extrinsic_translations: np.ndarray  # (N, 3)
     rel_ext_rotations: np.ndarray  # (J, N, 3, 3)
     body_offsets: np.ndarray  # (J, N, 3)
 
     def __len__(self):
-        return self.rel_rotations.shape[0]
+        return self.regressors.shape[0]
 
     @property
     def n_sensors(self):
@@ -82,9 +77,9 @@ class SlidingWindow:
 
     Row j of each array describes entry j, oldest first:
     rel_rotations (J, 3, 3) and rel_translations (J, 3) hold the pose of
-    its frame in the newest frame, regressors (J, N, 3, 12) and readings
-    (J, N, 3) its measurements, traveled (J,) the distance traveled since
-    it and timestamps (J,) its time.
+    its frame in the newest frame, regressors (J, N, 3, 12) its readings,
+    traveled (J,) the distance traveled since it and timestamps (J,) its
+    time.
     """
 
     def __init__(self, horizon_m: float, extrinsics):
@@ -98,7 +93,6 @@ class SlidingWindow:
         self.rel_rotations = np.empty((0, 3, 3))
         self.rel_translations = np.empty((0, 3))
         self.regressors = np.empty((0, n, 3, 12))
-        self.readings = np.empty((0, n, 3))
         self.traveled = np.empty(0)
         self.timestamps = np.empty(0)
 
@@ -114,13 +108,11 @@ class SlidingWindow:
         dp = np.asarray(frame.odom_dp, dtype=float)
         step_len = float(np.linalg.norm(dp))
         rot_angle = float(np.arccos(np.clip((np.trace(dr) - 1.0) / 2.0, -1.0, 1.0)))
-        readings = np.array(frame.readings, dtype=float)
-        regressors = regressor_many(readings)
+        regressors = regressor_many(frame.readings)
 
         if (len(self) and step_len < STATIONARY_TRANS
                 and rot_angle < STATIONARY_ROT):
             self.regressors[-1] = regressors
-            self.readings[-1] = readings
             self.timestamps[-1] = frame.t
             return
 
@@ -135,33 +127,20 @@ class SlidingWindow:
         self.rel_translations = np.concatenate([rel_p, np.zeros((1, 3))])
         self.regressors = np.concatenate(
             [self.regressors[keep], regressors[None]])
-        self.readings = np.concatenate([self.readings[keep], readings[None]])
         self.traveled = np.append(traveled[keep], 0.0)
         self.timestamps = np.append(self.timestamps[keep], frame.t)
 
     def snapshot(self) -> WindowSnapshot:
         if not len(self):
             raise ValueError("window is empty")
-        rel_r = self.rel_rotations.copy()
-        rel_p = self.rel_translations.copy()
-        ext_r = self.extrinsic_rotations.copy()
-        ext_p = self.extrinsic_translations.copy()
+        rel_r = self.rel_rotations
         # relR @ extR, laid out transposed in memory: sensor_poses works
         # with its transpose, which is then contiguous.
-        rel_ext_r = np.matmul(ext_r.swapaxes(-1, -2)[None],
+        rel_ext_r = np.matmul(self.extrinsic_rotations.swapaxes(-1, -2)[None],
                               rel_r.swapaxes(-1, -2)[:, None]).swapaxes(-1, -2)
-        offsets = rel_p[:, None, :] + np.matmul(
-            rel_r[:, None], ext_p[None, :, :, None])[..., 0]
-        return WindowSnapshot(
-            rel_rotations=rel_r,
-            rel_translations=rel_p,
-            regressors=self.regressors.copy(),
-            readings=self.readings.copy(),
-            extrinsic_rotations=ext_r,
-            extrinsic_translations=ext_p,
-            rel_ext_rotations=rel_ext_r,
-            body_offsets=offsets,
-        )
+        offsets = self.rel_translations[:, None, :] + np.matmul(
+            rel_r[:, None], self.extrinsic_translations[None, :, :, None])[..., 0]
+        return WindowSnapshot(self.regressors.copy(), rel_ext_r, offsets)
 
 
 def sensor_poses(snap: WindowSnapshot, r_body: np.ndarray,

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from magloc import gpr, magmap, scenario, sim
+from magloc import evaluate, gpr, magmap, scenario, sim
 from magloc.cli import main
+from magloc.errors import ConfigurationError
 
 
 def small_config(seed=3, **kw):
@@ -79,6 +80,18 @@ class TestGenDataset:
         expected = int(np.floor(total / cfg.fingerprints.sample_spacing + 1e-9)) + 1
         assert len(fps) == expected
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.25])
+    def test_bad_sample_spacing_exit_2(self, tmp_path, capsys, spacing):
+        cfg = small_config()
+        cfg.fingerprints.sample_spacing = spacing
+        with pytest.raises(ConfigurationError):
+            scenario.fingerprint_positions(cfg)
+        path = tmp_path / "s.json"
+        scenario.save_config(cfg, path)
+        out = tmp_path / "d"
+        assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 2
+        assert "positive" in capsys.readouterr().err
+
     def test_reseed_changes_noise_not_gt(self, tmp_path, config_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         main(["gen-dataset", "--config", config_path, "--out", str(out1)])
@@ -146,7 +159,6 @@ class TestRunAndEval:
         assert report["fallback_frames"] == 0
 
     def test_report_matches_eval_module(self, workdir):
-        from magloc import evaluate
         config_path, out = workdir
         main(["run", "--config", config_path, "--out", str(out),
               "--dataset", str(out / "dataset.jsonl"),
@@ -329,6 +341,35 @@ class TestPipeline:
                      *flags]) == 2
         assert name in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_ate_of_estimated_frames(self, tmp_path):
+        # The reference pipeline substitutes the reference pose at one
+        # frame; ate_m_estimated leaves it out of both the alignment and
+        # the error.
+        out = tmp_path / "ref"
+        assert main(["pipeline", "--seed", "7", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["fallback_frames"] == 1
+        cols = evaluate.read_trajectory_csv(out / "trajectory.csv")
+        keep = cols["fallback"] == 0
+        frames = sim.read_dataset(out / "dataset.jsonl")
+        pair = evaluate.pair_from_arrays(
+            cols["t"][keep],
+            np.stack([cols["px"], cols["py"], cols["pz"]], axis=1)[keep],
+            [f.t for f in frames], np.stack([f.gt_p for f in frames]))
+        assert report["ate_m_estimated"] == pytest.approx(evaluate.ate(pair),
+                                                          abs=1e-12)
+        assert report["ate_m_estimated"] != report["ate_m"]
+
+    def test_ate_of_estimated_frames_null_when_all_fall_back(self, tmp_path):
+        path = tmp_path / "s.json"
+        scenario.save_config(small_config(solver={"divergence_residual": 0}),
+                             path)
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["fallback_rate"] == 1.0
+        assert report["ate_m_estimated"] is None
 
     def test_end_to_end_determinism(self, tmp_path, config_path):
         outs = []

@@ -275,7 +275,8 @@ class TestAlternate:
         result = alternate(w, thetas, x_gt, grid, cfg)
         assert not result.diverged
         assert result.alternations == 1
-        assert np.linalg.norm(result.x.position - x_gt.position) < cfg.pose_tol_m
+        assert (np.linalg.norm(result.x.position - x_gt.position)
+                < estimator.POSE_TOL_M)
 
     def test_recovers_pose_offset(self, rng):
         # Known calibration, state perturbed off truth: the pose step alone
@@ -406,6 +407,81 @@ class TestAlternate:
             assert base == current
             current = base if stalled else norms[-1]
         assert result.residual_norm == current
+
+    @staticmethod
+    def _record_steps(monkeypatch):
+        """Wrap gauss_newton_step; returns the list of (step, stalled) it
+        appends to, one pair per Gauss-Newton step."""
+        steps = []
+        gn_step = estimator.gauss_newton_step
+
+        def recorded(residual, jacobian, mask, damping, trial_norm_fn=None):
+            dx, stalled = gn_step(residual, jacobian, mask, damping,
+                                  trial_norm_fn)
+            steps.append((dx, stalled))
+            return dx, stalled
+
+        monkeypatch.setattr(estimator, "gauss_newton_step", recorded)
+        return steps
+
+    def test_loop_ends_at_convergence_or_stall(self, monkeypatch):
+        # No step follows a stalled one, nor an accepted one under both
+        # pose tolerances; `alternations` counts the steps taken.
+        steps = self._record_steps(monkeypatch)
+        grid, w, thetas, x_gt = self._dipole_window()
+        cases = [(grid, w, thetas, x_gt, offset, mask)
+                 for mask in ("xyyaw", "xy")
+                 for offset in ([0.0, 0.0, 0.0], [0.03, -0.02, 0.02],
+                                [-0.06, 0.04, -0.05], [0.1, 0.08, 0.1])]
+        # Uncalibrated readings: the line search stalls after several
+        # accepted steps.
+        grid_long, w_long, _, x_long = self._dipole_window(n_frames=40)
+        identity = np.stack([identity_theta() for _ in range(len(thetas))])
+        cases.append((grid_long, w_long, identity, x_long,
+                      [-0.037, -0.027, -0.016], "xyyaw"))
+        endings = []
+        for g, window, th, x_ref, offset, mask in cases:
+            steps.clear()
+            cfg = SolverConfig(state_mask=mask, divergence_residual=np.inf)
+            result = alternate(window, th, shifted(x_ref, *offset), g, cfg)
+            assert result.alternations == len(steps) < cfg.max_alternations
+            for dx, stalled in steps[:-1]:
+                assert not stalled
+                assert (math.hypot(dx[0], dx[1]) >= estimator.POSE_TOL_M
+                        or abs(dx[2]) >= estimator.POSE_TOL_RAD)
+            dx, stalled = steps[-1]
+            assert result.stalled == stalled
+            assert stalled or (math.hypot(dx[0], dx[1]) < estimator.POSE_TOL_M
+                               and abs(dx[2]) < estimator.POSE_TOL_RAD)
+            endings.append(stalled)
+        assert endings[-1] and not any(endings[:-1])
+
+    def test_step_cap(self, monkeypatch):
+        # max_alternations caps the Gauss-Newton steps of the pose block.
+        steps = self._record_steps(monkeypatch)
+        grid, w, thetas, x_gt = self._dipole_window()
+        x0 = shifted(x_gt, -0.06, 0.04, -0.05)
+        result = alternate(w, thetas, x0, grid,
+                           SolverConfig(max_alternations=1,
+                                        divergence_residual=np.inf))
+        assert len(steps) == 1
+        assert result.alternations == 1
+        assert not result.stalled
+        assert math.hypot(*steps[0][0][:2]) >= estimator.POSE_TOL_M
+
+    def test_newest_fields_match_a_fresh_lookup(self):
+        # The RLS step reads the newest entry's body-frame fields from the
+        # last iterate; they equal a lookup at the returned pose.
+        grid, w, thetas, x_gt = self._dipole_window()
+        result = alternate(w, thetas, shifted(x_gt, 0.03, -0.02, 0.02), grid,
+                           SolverConfig(divergence_residual=np.inf))
+        r_body = rot_z(result.x.orientation[2])
+        for i, ext in enumerate(default_rig()):
+            rot = r_body @ ext.rotation
+            pos = r_body @ ext.translation + result.x.position
+            m = interpolate_many(grid, pos[None])[0]
+            np.testing.assert_allclose(result.newest_fields[i], rot.T @ m,
+                                       rtol=0, atol=1e-10)
 
     def test_divergence_on_out_of_map(self, rng):
         _, _, grid, rig, calibs, _, w, x_gt = affine_setup(rng, distorted=False)

@@ -163,7 +163,6 @@ class TestPush:
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.array([[1.0, 2, 3]])))
         w.push(frame_of(0.1, np.eye(3), [1e-6, 0, 0], np.array([[4.0, 5, 6]])))
         assert len(w) == 1
-        np.testing.assert_array_equal(w.readings[0], [[4.0, 5, 6]])
         np.testing.assert_array_equal(w.regressors[0, 0],
                                       regressor(np.array([4.0, 5, 6])))
         assert w.timestamps[0] == 0.1
@@ -236,11 +235,8 @@ class TestSensorPoses:
         w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.ones((2, 3))))
         snap = w.snapshot()
-        for name in ("rel_rotations", "rel_translations", "regressors",
-                     "readings", "extrinsic_rotations",
-                     "extrinsic_translations"):
+        for name in ("regressors", "rel_ext_rotations", "body_offsets"):
             getattr(snap, name)[...] = -99.0
-        assert np.all(w.readings[0] == 1.0)
         np.testing.assert_array_equal(w.rel_rotations[0], np.eye(3))
         np.testing.assert_array_equal(w.rel_translations[0], np.zeros(3))
         np.testing.assert_array_equal(w.regressors[0],
@@ -249,6 +245,12 @@ class TestSensorPoses:
                                       np.stack([e.rotation for e in rig]))
         np.testing.assert_array_equal(w.extrinsic_translations,
                                       np.stack([e.translation for e in rig]))
+        # A standstill push rewrites the newest entry in place; the snapshot
+        # keeps the readings it was taken with.
+        snap = w.snapshot()
+        w.push(frame_of(0.1, np.eye(3), [0, 0, 0], 2 * np.ones((2, 3))))
+        np.testing.assert_array_equal(snap.regressors[0],
+                                      regressor_many(np.ones((2, 3))))
 
 
 def reference_window(frames, horizon_m):
@@ -313,7 +315,6 @@ class TestStackedWindowProperty:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(w.rel_translations[j], rel.translation,
                                        rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(w.readings[j], readings)
             for i in range(n_sensors):
                 np.testing.assert_array_equal(w.regressors[j, i],
                                               regressor(readings[i]))
@@ -323,8 +324,11 @@ class TestStackedWindowProperty:
         assert np.all(w.traveled <= horizon)
 
         snap = w.snapshot()
-        for j, (rel, _, _, _) in enumerate(ref):
+        assert len(snap) == len(ref)
+        for j, (rel, readings, _, _) in enumerate(ref):
             for i, ext in enumerate(rig):
+                np.testing.assert_array_equal(snap.regressors[j, i],
+                                              regressor(readings[i]))
                 np.testing.assert_allclose(
                     snap.rel_ext_rotations[j, i], rel.rotation @ ext.rotation,
                     rtol=0, atol=1e-12)

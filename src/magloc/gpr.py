@@ -8,6 +8,14 @@ into the dense grid map that the estimator queries.
 Kernel matrices come from `cdist` squared distances, with the RBF applied
 in place, so no (m, n, 3) difference array is formed.
 
+`fit` holds one n x n buffer, the training kernel from `cdist`.  The noise
+goes onto its diagonal, making K, and K is Cholesky-factored in that
+buffer: in its Fortran-ordered view the lower triangle holds L and the
+strict upper triangle still holds K, whose diagonal is saved apart
+(n floats).  The residual check of the weight solve reads K from those
+two parts.  Positions and fields are checked for finite values before any
+n x n work, which therefore needs no finite checks of its own.
+
 `predict_many` picks one of two exact evaluations of the posterior mean by
 cost, from the shape of its input.  The RBF kernel factorizes over axes,
 k(p, q) = s2 * kx * ky * kz, so when the m queries span a lattice of at
@@ -37,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymm
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -89,11 +98,34 @@ class GprModel:
     params: KernelParams
 
 
+def _factor_in_place(k: np.ndarray, diag_add: float):
+    """Add `diag_add` to the diagonal of the kernel `k`, making it K, and
+    Cholesky-factor K in the memory of `k`.
+
+    Returns (c, diag_k): `c` is `k.T`, with L in its lower triangle and K
+    in its strict upper triangle; `diag_k` is K's diagonal, which L
+    overwrote.  Raises LinAlgError, with `k` partly overwritten, when K is
+    not numerically positive definite.
+    """
+    diag = np.diag_indices_from(k)
+    k[diag] += diag_add
+    diag_k = k[diag]
+    # k is exactly symmetric and potrf('L') reads and writes only the lower
+    # triangle of the Fortran-ordered view k.T, so the strict upper triangle
+    # keeps K.  fit rejects non-finite input, so nothing here scans for it.
+    c, _ = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
+    return c, diag_k
+
+
 def fit(fingerprints, params: KernelParams) -> GprModel:
     """Fit per-axis GPs: solve (K + noise_var*I) alpha = B - mean.
 
-    Positions must be pairwise distinct; a singular factorization is
-    retried once with a small jitter before giving up.
+    Positions must be pairwise distinct and positions and fields finite; a
+    singular factorization is retried once with a small jitter before
+    giving up.  After factoring, K (noise included) and its Cholesky
+    factor L share the one n x n buffer that `_kernel_matrix` returned: L
+    is the lower triangle of its Fortran-ordered view `c`, K the strict
+    upper triangle, and K's diagonal is kept in `diag_k`.
     """
     if len(fingerprints) == 0:
         raise DegenerateTrainingError("need at least one fingerprint")
@@ -103,28 +135,38 @@ def fit(fingerprints, params: KernelParams) -> GprModel:
             f"of {MAX_TRAINING_POINTS}")
     pos = np.array([f.position for f in fingerprints], dtype=float)
     fields = np.array([f.field for f in fingerprints], dtype=float)
+    # Finite positions give a finite kernel, so the n x n work below needs no
+    # finite checks of its own.
+    finite = np.isfinite(pos).all(axis=1) & np.isfinite(fields).all(axis=1)
+    if not finite.all():
+        raise DegenerateTrainingError(
+            f"fingerprint index {int(np.argmin(finite))} has a non-finite "
+            "position or field")
     if len(pos) > 1:
         dist, _ = cKDTree(pos).query(pos, k=2)
         if float(np.min(dist[:, 1])) <= MIN_PAIRWISE_DISTANCE:
             raise DegenerateTrainingError("duplicate fingerprint positions")
     mean = fields.mean(axis=0)
     rhs = fields - mean
-    k = _kernel_matrix(pos, pos, params)
-    k[np.diag_indices_from(k)] += params.noise_var
-    try:
-        # k is exactly symmetric; its Fortran-ordered view k.T spares scipy
-        # a layout copy.
-        factor = cho_factor(k.T, lower=True)
-    except np.linalg.LinAlgError:
-        k[np.diag_indices_from(k)] += 1e-8 * params.signal_var
+    for jitter in (0.0, 1e-8 * params.signal_var):
         try:
-            factor = cho_factor(k.T, lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateTrainingError(
-                "kernel matrix not positive definite even with jitter") from exc
-    alpha = cho_solve(factor, rhs)
-    resid = np.linalg.norm(k @ alpha - rhs)
-    if resid > 1e-8 * max(np.linalg.norm(rhs), 1.0):
+            c, diag_k = _factor_in_place(_kernel_matrix(pos, pos, params),
+                                         params.noise_var + jitter)
+            break
+        except np.linalg.LinAlgError:
+            # The failed factor overwrote part of K, so the retry rebuilds
+            # it; continuing leaves the handler, which frees the failed one.
+            continue
+    else:
+        raise DegenerateTrainingError(
+            "kernel matrix not positive definite even with jitter")
+    alpha = cho_solve((c, True), rhs, check_finite=False)
+    # K alpha from the strict upper triangle of c and the saved diagonal.
+    k_alpha = dsymm(1.0, c, alpha, lower=0)
+    k_alpha += (diag_k - np.diag(c))[:, None] * alpha
+    resid = np.linalg.norm(k_alpha - rhs)
+    # Written so that a NaN residual fails the check too.
+    if not resid <= 1e-8 * max(np.linalg.norm(rhs), 1.0):
         raise DegenerateTrainingError(
             f"weight solve residual {resid:.3e} too large")
     return GprModel(pos, alpha, mean, params)

@@ -48,6 +48,18 @@ class FingerprintConfig:
     margin: float = 1.0
     noise_sigma: float = 0.2
 
+    def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Both spacings must be positive: the coverage path steps by
+        line_spacing and the samples by sample_spacing."""
+        for key in ("line_spacing", "sample_spacing"):
+            value = getattr(self, key)
+            if not value > 0.0:
+                raise ConfigurationError(
+                    f"fingerprints.{key} must be positive, got {value!r}")
+
 
 @dataclass
 class DistortionConfig:
@@ -185,6 +197,7 @@ def coverage_waypoints(config: ScenarioConfig) -> list:
     """Lawnmower coverage polyline for fingerprint collection."""
     w = config.world
     fp = config.fingerprints
+    fp.check()  # a non-positive line_spacing would never reach ymax
     xmin = w.origin[0] + fp.margin
     xmax = w.origin[0] + (w.nx - 1) * w.resolution - fp.margin
     ymin = w.origin[1] + fp.margin

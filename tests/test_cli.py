@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magloc
 from magloc import evaluate, gpr, magmap, scenario, sim
 from magloc.cli import main
 from magloc.errors import ConfigurationError
@@ -92,6 +97,28 @@ class TestGenDataset:
         assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.5])
+    def test_bad_line_spacing_exit_2_before_any_write(self, tmp_path, spacing):
+        # Run in a subprocess with a timeout: a coverage path that steps by
+        # a non-positive line spacing never ends.
+        cfg = small_config()
+        cfg.fingerprints.line_spacing = spacing
+        path = tmp_path / "s.json"
+        scenario.save_config(cfg, path)
+        out = tmp_path / "p"
+        src = str(Path(magloc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "magloc.cli", "pipeline",
+             "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "fingerprints.line_spacing must be positive" in proc.stderr
+        assert not out.exists()
+        with pytest.raises(ConfigurationError, match="line_spacing"):
+            scenario.coverage_waypoints(cfg)
+
     def test_reseed_changes_noise_not_gt(self, tmp_path, config_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
         main(["gen-dataset", "--config", config_path, "--out", str(out1)])
@@ -130,6 +157,21 @@ class TestBuildMap:
                      "--fingerprints", str(path),
                      "--out", str(tmp_path / "m")]) != 0
 
+
+    def test_non_finite_fingerprint_exit_1(self, tmp_path, config_path, capsys):
+        out = tmp_path / "d"
+        main(["gen-dataset", "--config", config_path, "--out", str(out)])
+        path = out / "fingerprints.csv"
+        lines = path.read_text().splitlines()
+        row = lines[3].split(",")
+        row[4] = "nan"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["build-map", "--config", config_path,
+                     "--fingerprints", str(path), "--out", str(out)]) == 1
+        assert ("fingerprint index 2 has a non-finite position or field"
+                in capsys.readouterr().err)
+        assert not (out / "map_gpr.mag").exists()
 
 class TestRunAndEval:
     @pytest.fixture

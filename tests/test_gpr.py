@@ -110,6 +110,77 @@ class TestFit:
         alpha = cho_solve(cho_factor(k, lower=True), fields - fields.mean(axis=0))
         assert np.array_equal(model.alpha, alpha)
 
+    @pytest.mark.parametrize("row, column, value", [
+        (3, "field", np.nan), (5, "position", np.inf)])
+    def test_non_finite_rejected(self, rng, row, column, value):
+        pos = rng.uniform(0, 3, size=(8, 3))
+        fields = rng.normal(size=(8, 3)) * 6 + 30
+        (pos if column == "position" else fields)[row, 1] = value
+        with pytest.raises(DegenerateTrainingError,
+                           match=f"fingerprint index {row} has a non-finite"):
+            fit([Fingerprint(p, b) for p, b in zip(pos, fields)], make_params())
+
+    def test_peak_memory_one_kernel_buffer(self, rng):
+        # The kernel is factored in its own buffer: one n x n array, where
+        # a factor into a copy holds two.
+        n = 1500
+        pos = rng.uniform(0, 12, size=(n, 3))
+        fields = rng.normal(size=(n, 3)) * 6 + 30
+        fps = [Fingerprint(p, b) for p, b in zip(pos, fields)]
+        tracemalloc.start()
+        try:
+            fit(fps, make_params())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+
+    def test_residual_check_rejects_a_perturbed_solve(self, rng, monkeypatch):
+        pos = rng.uniform(0, 4, size=(200, 3))
+        fields = rng.normal(size=(200, 3)) * 6 + 30
+        fps = [Fingerprint(p, b) for p, b in zip(pos, fields)]
+        fit(fps, make_params())
+
+        def perturbed(*args, **kwargs):
+            return cho_solve(*args, **kwargs) + 1e-6
+
+        monkeypatch.setattr(gpr, "cho_solve", perturbed)
+        with pytest.raises(DegenerateTrainingError, match="residual"):
+            fit(fps, make_params())
+
+    def test_jitter_retry_rebuilds_the_kernel(self, rng, monkeypatch):
+        # The first factor overwrites its buffer and then fails, so the
+        # retry must start from a fresh kernel.
+        params = make_params(lengthscale=0.8, noise_var=0.1)
+        pos = rng.uniform(0, 4, size=(60, 3))
+        fields = rng.normal(size=(60, 3)) * 6 + 30
+        calls = []
+
+        def fail_once(a, **kwargs):
+            calls.append(a.shape)
+            if len(calls) == 1:
+                cho_factor(a, **kwargs)
+                raise np.linalg.LinAlgError("forced failure")
+            return cho_factor(a, **kwargs)
+
+        monkeypatch.setattr(gpr, "cho_factor", fail_once)
+        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
+        assert len(calls) == 2
+        k = np.array([[rbf(pj, pk, params) for pk in pos] for pj in pos])
+        k += (params.noise_var + 1e-8 * params.signal_var) * np.eye(60)
+        np.testing.assert_allclose(
+            model.alpha, np.linalg.solve(k, fields - fields.mean(axis=0)),
+            rtol=1e-9, atol=1e-9)
+
+    def test_jitter_retry_gives_up(self, rng, monkeypatch):
+        def always_fail(a, **kwargs):
+            raise np.linalg.LinAlgError("forced failure")
+
+        monkeypatch.setattr(gpr, "cho_factor", always_fail)
+        fps = [Fingerprint(rng.normal(size=3), np.zeros(3)) for _ in range(4)]
+        with pytest.raises(DegenerateTrainingError, match="even with jitter"):
+            fit(fps, make_params())
+
     def test_duplicate_positions_rejected(self):
         p = np.array([1.0, 1.0, 0.0])
         fps = [Fingerprint(p, np.zeros(3)), Fingerprint(p.copy(), np.ones(3))]

@@ -157,7 +157,6 @@ class TestBuildMap:
                      "--fingerprints", str(path),
                      "--out", str(tmp_path / "m")]) != 0
 
-
     def test_non_finite_fingerprint_exit_1(self, tmp_path, config_path, capsys):
         out = tmp_path / "d"
         main(["gen-dataset", "--config", config_path, "--out", str(out)])
@@ -172,6 +171,7 @@ class TestBuildMap:
         assert ("fingerprint index 2 has a non-finite position or field"
                 in capsys.readouterr().err)
         assert not (out / "map_gpr.mag").exists()
+
 
 class TestRunAndEval:
     @pytest.fixture

@@ -219,8 +219,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # cmd_run builds the solver only after the map; check it before any write.
-    _solver_from_args(_load_scenario(args), args)
+    # cmd_build_map and cmd_run read the gpr and solver sections only after
+    # earlier steps have written files; check both before any write.
+    config = _load_scenario(args)
+    scenario.kernel_params(config)
+    _solver_from_args(config, args)
     out = _out_dir(args)
     args.out = str(out)
     cmd_gen_world(args)

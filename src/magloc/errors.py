@@ -30,7 +30,8 @@ class DatasetSchemaError(ValueError):
 
 
 class DegenerateTrainingError(ValueError):
-    """Regression training set is unusable (duplicates, failed factorization)."""
+    """Regression training set is unusable (empty, unparsable, non-finite,
+    off one plane, or too large a basis for its lengthscale)."""
 
 
 class AlignmentError(ValueError):

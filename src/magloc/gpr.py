@@ -1,64 +1,62 @@
 """Gaussian-process regression of the magnetic field from fingerprints.
 
-Three independent per-axis GPs share one RBF kernel; the mean function is
-the per-axis average of the training fields (the local background field).
-Only the posterior mean is used downstream: predictions are rasterized
-into the dense grid map that the estimator queries.
+The map is a planar, reduced-rank, curl-free GP (Solin, Kok, Wahlstrom,
+Schon & Sarkka 2018, IEEE T-RO; Solin & Sarkka 2020, Stat. Comput.).  The
+fingerprints and the map lie on one z plane, where the 3-D curl-free
+kernel (B = -grad phi with an RBF prior on phi) splits exactly into two
+independent 2-D GPs:
 
-Kernel matrices come from `cdist` squared distances, with the RBF applied
-in place, so no (m, n, 3) difference array is formed.
+- (Bx, By) = -grad psi, where psi has the RBF kernel of variance
+  `signal_var * l^2`;
+- Bz has the RBF kernel of variance `signal_var`; its cross-covariance
+  with Bx and By carries a factor dz, which is 0 on the plane.
 
-`fit` holds one n x n buffer, the training kernel from `cdist`.  The noise
-goes onto its diagonal, making K, and K is Cholesky-factored in that
-buffer: in its Fortran-ordered view the lower triangle holds L and the
-strict upper triangle still holds K, whose diagonal is saved apart
-(n floats).  The residual check of the weight solve reads K from those
-two parts.  Positions and fields are checked for finite values before any
-n x n work, which therefore needs no finite checks of its own.
+Both expand in the Laplace eigenfunctions of the fingerprints' xy
+bounding box padded by `PAD_M`, [x0, x0 + 2 Lx] x [y0, y0 + 2 Ly]:
 
-`predict_many` picks one of two exact evaluations of the posterior mean by
-cost, from the shape of its input.  The RBF kernel factorizes over axes,
-k(p, q) = s2 * kx * ky * kz, so when the m queries span a lattice of at
-most m points (distinct x, y and z values whose product is <= m, as the
-nodes of a grid map do) it builds the 1-D factors exp(-(u - t)^2 / 2l^2)
-of each axis's distinct values against the n training coordinates and
-forms the lattice table with one matrix product per field axis and level
-of the third axis, (Ea * w) @ Eb^T with w = s2 * kc * alpha[:, axis];
-each query then reads its row of the table.  For the 151 x 101 x 1 grid
-of a map that is three (151, n) @ (n, 101) products in place of an
-exp() over all 15251 x n (node, point) pairs.  Other inputs take the
-`cdist` cross-kernel in blocks of `_PREDICT_BLOCK_ROWS` query rows.
-Either way working memory stays bounded: the lattice path blocks the axis
-with the most distinct values in `_PREDICT_BLOCK_ROWS` values, so its
-factors hold at most one (block, n) slab plus (sqrt(m), n) and
-(cbrt(m), n) ones, and its table is no larger than the (m, 3) output;
-the `cdist` path holds one (block, n) kernel.
+    phi_ab(x, y) = sin(wx_a (x - x0)) sin(wy_b (y - y0)) / sqrt(Lx Ly),
 
-`build_grid` evaluates all nodes through one `predict_many` call, so the
-map build has a single prediction entry point whether callers time it,
-trace it or test it.
+with w_a = pi a / (2 L), keeping the m pairs with |w| <= OMEGA_CUTOFF / l.
+The prior variance of each weight is the 2-D RBF spectral density at its
+frequency, var * 2 pi l^2 exp(-|w|^2 l^2 / 2).  psi has one weight vector
+over the phi_ab and Bz its own.  The mean function is the per-axis
+average of the training fields (the local background field).  Only the
+posterior mean is used downstream: `build_grid` rasterizes it into the
+grid map that the estimator queries.
+
+`fit` solves one m x m system per block, (Phi^T Phi + noise_var S^-1) w =
+Phi^T y, which is positive definite for any point set, so repeated
+positions need no special case.  Phi is never formed: every entry of
+Phi^T Phi is a sum of four moments sum_i cos(p theta_x,i) cos(q theta_y,i)
+(see `_normal_equations`), so the fingerprints enter through one
+(2 mx + 1, n) @ (n, 2 my + 1) product whatever their layout, and the
+largest arrays are the (2, m, m) system and (n, 2 mx + 1) tables.
+
+`predict_many` evaluates queries that span a lattice of at most as many
+points as themselves (the nodes of a grid) through separable per-axis
+tables, one (nx, mx) @ (mx, my) @ (my, ny) product per field axis, and
+other queries through per-point tables.  Queries outside the padded box
+get the mean; queries off the plane are rejected.  The basis pins psi,
+not its normal derivative, to 0 on the box edge, so within about a
+lengthscale of the edge the normal field component departs from the
+mean and steps back to it outside; the pad keeps that away from the
+survey.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymm
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateTrainingError
 from .magmap import MagneticGridMap
 
-# Exact GPR only; larger training sets need an approximate method.
-MAX_TRAINING_POINTS = 5000
-
-MIN_PAIRWISE_DISTANCE = 1e-6
-
-# Query rows per cross-kernel block in predict_many.
-_PREDICT_BLOCK_ROWS = 1024
+PAD_M = 2.0  # padding of the fingerprints' bounding box, m
+OMEGA_CUTOFF = 5.0  # basis frequencies |w| <= OMEGA_CUTOFF / lengthscale
+PLANE_TOL_M = 1e-6  # fingerprints and queries must lie this close to the plane
+# Cap on mx * my, the frequency pairs of the rectangle that holds the kept
+# disc (m is about pi / 4 of it): the system is m x m, its solve O(m^3).
+MAX_FREQUENCY_PAIRS = 2500
 
 
 @dataclass
@@ -76,160 +74,184 @@ class KernelParams:
     noise_var: float = 0.04  # uT^2
 
     def __post_init__(self):
-        if self.lengthscale <= 0.0 or self.signal_var <= 0.0 or self.noise_var < 0.0:
-            raise ValueError("kernel parameters must be positive (noise_var >= 0)")
-
-
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """RBF kernel between the rows of (m, 3) `a` and (n, 3) `b`, (m, n)."""
-    k = cdist(a, b, "sqeuclidean")
-    # Divide, not multiply by the reciprocal: the bits of -d2 / (2 l^2) stay.
-    k /= -2.0 * params.lengthscale**2
-    np.exp(k, out=k)
-    k *= params.signal_var
-    return k
+        # noise_var > 0 keeps the regularized system of fit positive definite.
+        for name in ("lengthscale", "signal_var", "noise_var"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
 class GprModel:
     train_pos: np.ndarray  # (n, 3)
-    alpha: np.ndarray  # (n, 3) per-axis weights
     mean: np.ndarray  # (3,) uT
     params: KernelParams
+    height: float  # z of the map plane, m
+    lo: np.ndarray  # (2,) (x0, y0), corner of the padded box, m
+    hi: np.ndarray  # (2,) (x0 + 2 Lx, y0 + 2 Ly)
+    wx: np.ndarray  # (mx,) basis frequencies along x, rad/m
+    wy: np.ndarray  # (my,)
+    weights: np.ndarray  # (2, mx, my) psi and Bz weights, 0 past the cutoff
 
 
-def _factor_in_place(k: np.ndarray, diag_add: float):
-    """Add `diag_add` to the diagonal of the kernel `k`, making it K, and
-    Cholesky-factor K in the memory of `k`.
+def _frequencies(lo, hi, lengthscale: float):
+    """Per-axis frequencies pi a / (2 L) up to the cutoff, and the (mx, my)
+    mask of the pairs within it."""
+    cutoff = OMEGA_CUTOFF / lengthscale
+    counts = [int(cutoff * (b - a) / np.pi) for a, b in zip(lo, hi)]
+    if counts[0] * counts[1] > MAX_FREQUENCY_PAIRS:
+        raise DegenerateTrainingError(
+            f"{counts[0]} x {counts[1]} basis frequencies exceed "
+            f"{MAX_FREQUENCY_PAIRS}: the survey box is too large for "
+            f"lengthscale {lengthscale} m")
+    wx, wy = (np.pi * np.arange(1, k + 1) / (b - a)
+              for k, a, b in zip(counts, lo, hi))
+    return wx, wy, np.add.outer(wx**2, wy**2) <= cutoff**2
 
-    Returns (c, diag_k): `c` is `k.T`, with L in its lower triangle and K
-    in its strict upper triangle; `diag_k` is K's diagonal, which L
-    overwrote.  Raises LinAlgError, with `k` partly overwritten, when K is
-    not numerically positive definite.
+
+def _axis_tables(u: np.ndarray, start: float, end: float, w: np.ndarray):
+    """sin(w (u - start)) and w cos(w (u - start)), each (len(u), len(w)),
+    with the rows of u outside [start, end] zero."""
+    arg = np.multiply.outer(u - start, w)
+    s = np.sin(arg)
+    c = np.cos(arg)
+    c *= w
+    outside = ~((u >= start) & (u <= end))
+    s[outside] = 0.0
+    c[outside] = 0.0
+    return s, c
+
+
+def _pair_harmonics(w: np.ndarray):
+    """The frequency pairs a <= a' of one axis as combinations of the
+    harmonics cos(p theta), p = 0 .. 2 len(w), where w_a (u - u0) = a theta.
+
+    For D = a' - a and S = a + a', sin(a theta) sin(a' theta) =
+    (cos(D theta) - cos(S theta)) / 2 and cos(a theta) cos(a' theta) =
+    (cos(D theta) + cos(S theta)) / 2.  Returns the (pairs, 2 len(w) + 1)
+    rows of sin sin and of w_a w_a' cos cos, and the (len(w), len(w))
+    table of each pair's row, in either order.
     """
-    diag = np.diag_indices_from(k)
-    k[diag] += diag_add
-    diag_k = k[diag]
-    # k is exactly symmetric and potrf('L') reads and writes only the lower
-    # triangle of the Fortran-ordered view k.T, so the strict upper triangle
-    # keeps K.  fit rejects non-finite input, so nothing here scans for it.
-    c, _ = cho_factor(k.T, lower=True, overwrite_a=True, check_finite=False)
-    return c, diag_k
+    first, second = np.triu_indices(len(w))
+    rows = np.arange(len(first))
+    sin = np.zeros((len(first), 2 * len(w) + 1))
+    cos = np.zeros_like(sin)
+    # Frequency index a is 1-based: a = first + 1, a' = second + 1.
+    sin[rows, second - first] = cos[rows, second - first] = 0.5
+    sin[rows, first + second + 2] = -0.5
+    cos[rows, first + second + 2] = 0.5
+    cos *= (w[first] * w[second])[:, None]
+    where = np.empty((len(w), len(w)), dtype=np.intp)
+    where[first, second] = where[second, first] = rows
+    return sin, cos, where
+
+
+def _normal_equations(pos, y, lo, hi, wx, wy, keep):
+    """Phi^T Phi, (2, m, m), and Phi^T y, (2, m), of the psi and Bz blocks
+    over the kept frequency pairs, without the 1 / (Lx Ly) and
+    1 / sqrt(Lx Ly) factors.
+
+    A product of features (a, b) and (a', b') is an x part times a y
+    part: for Bz (sx sx')(sy sy'), for psi dx phi dx phi' + dy phi dy phi'
+    = (cx cx')(sy sy') + (sx sx')(cy cy').  Each part is a combination of
+    harmonics (`_pair_harmonics`), so summed over the fingerprints every
+    entry combines the moments M[p, q] = sum_i cos(p theta_x,i)
+    cos(q theta_y,i), one (2 mx + 1, n) @ (n, 2 my + 1) product.  No
+    n x m array is formed.
+    """
+    sin_x, cos_x = _axis_tables(pos[:, 0], lo[0], hi[0], wx)
+    sin_y, cos_y = _axis_tables(pos[:, 1], lo[1], hi[1], wy)
+    rhs = np.stack([-((cos_x * y[:, :1]).T @ sin_y + (sin_x * y[:, 1:2]).T @ cos_y),
+                    (sin_x * y[:, 2:]).T @ sin_y])[:, keep]
+    # Free the (n, m_axis) tables before the (n, 2 m_axis + 1) ones.
+    del sin_x, cos_x, sin_y, cos_y
+
+    theta = (pos[:, :2] - lo) * (np.pi / (hi - lo))
+    moments = (np.cos(np.multiply.outer(theta[:, 0], np.arange(2 * len(wx) + 1))).T
+               @ np.cos(np.multiply.outer(theta[:, 1], np.arange(2 * len(wy) + 1))))
+    x_sin, x_cos, x_where = _pair_harmonics(wx)
+    y_sin, y_cos, y_where = _pair_harmonics(wy)
+    x_sin_m = x_sin @ moments
+    pairs = np.stack([(x_cos @ moments) @ y_sin.T + x_sin_m @ y_cos.T,
+                      x_sin_m @ y_sin.T])
+    # Gather the kept pairs' entries through one flat index into pairs.
+    ka, kb = np.nonzero(keep)
+    index = x_where[ka[:, None], ka] * len(y_sin)
+    index += y_where[kb[:, None], kb]
+    return pairs.reshape(2, -1)[:, index], rhs
 
 
 def fit(fingerprints, params: KernelParams) -> GprModel:
-    """Fit per-axis GPs: solve (K + noise_var*I) alpha = B - mean.
+    """Fit the planar reduced-rank model (see the module docstring).
 
-    Positions must be pairwise distinct and positions and fields finite; a
-    singular factorization is retried once with a small jitter before
-    giving up.  After factoring, K (noise included) and its Cholesky
-    factor L share the one n x n buffer that `_kernel_matrix` returned: L
-    is the lower triangle of its Fortran-ordered view `c`, K the strict
-    upper triangle, and K's diagonal is kept in `diag_k`.
+    Positions and fields must be finite and the positions on one z plane
+    (within `PLANE_TOL_M`); repeated positions are fine.
     """
     if len(fingerprints) == 0:
         raise DegenerateTrainingError("need at least one fingerprint")
-    if len(fingerprints) > MAX_TRAINING_POINTS:
-        raise DegenerateTrainingError(
-            f"{len(fingerprints)} fingerprints exceed the exact-GPR cap "
-            f"of {MAX_TRAINING_POINTS}")
     pos = np.array([f.position for f in fingerprints], dtype=float)
     fields = np.array([f.field for f in fingerprints], dtype=float)
-    # Finite positions give a finite kernel, so the n x n work below needs no
-    # finite checks of its own.
     finite = np.isfinite(pos).all(axis=1) & np.isfinite(fields).all(axis=1)
     if not finite.all():
         raise DegenerateTrainingError(
             f"fingerprint index {int(np.argmin(finite))} has a non-finite "
             "position or field")
-    if len(pos) > 1:
-        dist, _ = cKDTree(pos).query(pos, k=2)
-        if float(np.min(dist[:, 1])) <= MIN_PAIRWISE_DISTANCE:
-            raise DegenerateTrainingError("duplicate fingerprint positions")
+    height = float(pos[0, 2])
+    on_plane = np.abs(pos[:, 2] - height) <= PLANE_TOL_M
+    if not on_plane.all():
+        i = int(np.argmin(on_plane))
+        raise DegenerateTrainingError(
+            f"fingerprint index {i} at z = {float(pos[i, 2])!r} is off the plane "
+            f"z = {height!r} of fingerprint 0")
+    lo = pos[:, :2].min(axis=0) - PAD_M
+    hi = pos[:, :2].max(axis=0) + PAD_M
+    wx, wy, keep = _frequencies(lo, hi, params.lengthscale)
     mean = fields.mean(axis=0)
-    rhs = fields - mean
-    for jitter in (0.0, 1e-8 * params.signal_var):
-        try:
-            c, diag_k = _factor_in_place(_kernel_matrix(pos, pos, params),
-                                         params.noise_var + jitter)
-            break
-        except np.linalg.LinAlgError:
-            # The failed factor overwrote part of K, so the retry rebuilds
-            # it; continuing leaves the handler, which frees the failed one.
-            continue
-    else:
-        raise DegenerateTrainingError(
-            "kernel matrix not positive definite even with jitter")
-    alpha = cho_solve((c, True), rhs, check_finite=False)
-    # K alpha from the strict upper triangle of c and the saved diagonal.
-    k_alpha = dsymm(1.0, c, alpha, lower=0)
-    k_alpha += (diag_k - np.diag(c))[:, None] * alpha
-    resid = np.linalg.norm(k_alpha - rhs)
-    # Written so that a NaN residual fails the check too.
-    if not resid <= 1e-8 * max(np.linalg.norm(rhs), 1.0):
-        raise DegenerateTrainingError(
-            f"weight solve residual {resid:.3e} too large")
-    return GprModel(pos, alpha, mean, params)
-
-
-def _rbf_factor(u: np.ndarray, t: np.ndarray, lengthscale: float) -> np.ndarray:
-    """One axis's RBF factor exp(-(u - t)^2 / 2l^2), (len(u), len(t))."""
-    f = np.subtract.outer(u, t)
-    f *= f
-    f /= -2.0 * lengthscale**2
-    np.exp(f, out=f)
-    return f
-
-
-def _predict_lattice(model: GprModel, axes: list) -> np.ndarray:
-    """Zero-mean prediction at every point of a lattice.
-
-    `axes` holds, per coordinate axis, the distinct values and each query's
-    index into them (`np.unique(..., return_inverse=True)`).  Returns the
-    (m, 3) predictions at the queries.
-    """
-    # The axis with the most distinct values is blocked; the other two then
-    # hold at most sqrt(m) and cbrt(m) distinct values.
-    order = sorted(range(3), key=lambda d: -len(axes[d][0]))
-    (ua, ia), (ub, ib), (uc, ic) = (axes[d] for d in order)
-    lengthscale = model.params.lengthscale
-    train = model.train_pos
-    eb_t = _rbf_factor(ub, train[:, order[1]], lengthscale).T
-    # (levels, n, 3): s2 * kc * alpha for each distinct value of the third axis.
-    weights = (model.params.signal_var
-               * _rbf_factor(uc, train[:, order[2]], lengthscale)[:, :, None]
-               * model.alpha)
-    table = np.empty((len(ua), len(ub), len(uc), 3))
-    for start in range(0, len(ua), _PREDICT_BLOCK_ROWS):
-        rows = slice(start, start + _PREDICT_BLOCK_ROWS)
-        ea = _rbf_factor(ua[rows], train[:, order[0]], lengthscale)
-        for level, w in enumerate(weights):
-            for axis in range(3):
-                table[rows, :, level, axis] = (ea * w[:, axis]) @ eb_t
-    return table[ia, ib, ic]
+    a, rhs = _normal_equations(pos, fields - mean, lo, hi, wx, wy, keep)
+    norm = 4.0 / np.prod(hi - lo)  # 1 / (Lx Ly)
+    a *= norm
+    l2 = params.lengthscale**2
+    density = 2.0 * np.pi * l2 * np.exp(-0.5 * l2 * np.add.outer(wx**2, wy**2)[keep])
+    prior = np.outer([params.signal_var * l2, params.signal_var], density)
+    diag = np.arange(len(density))
+    a[:, diag, diag] += params.noise_var / prior
+    weights = np.zeros((2, len(wx), len(wy)))
+    weights[:, keep] = np.linalg.solve(a, (rhs * np.sqrt(norm))[..., None])[..., 0]
+    return GprModel(pos, mean, params, height, lo, hi, wx, wy, weights)
 
 
 def predict_many(model: GprModel, points: np.ndarray) -> np.ndarray:
-    """Posterior-mean field at (m, 3) query points, returning (m, 3).
+    """Posterior-mean field at (q, 3) query points, returning (q, 3).
 
-    Queries whose distinct x, y and z values span a lattice of at most m
-    points (the nodes of a grid) are evaluated through the per-axis kernel
-    factors, one matrix product per field axis and level; other queries
-    through the `cdist` cross-kernel in blocks of `_PREDICT_BLOCK_ROWS`
-    rows.  Both are exact for any input, and both keep working memory to
-    a few (block, n) arrays plus the output (see the module docstring);
-    the choice affects cost only.
+    Queries whose distinct x and y values span a lattice of at most q
+    points (the nodes of a grid) are evaluated through per-axis tables of
+    the distinct values, one product chain per field axis; other queries
+    through per-point tables.  The choice affects cost only.  Queries
+    outside the padded box get the mean.  Raises ValueError for a query
+    that is not finite or not on the model's plane.
     """
     points = np.asarray(points, dtype=float)
-    axes = [np.unique(points[:, d], return_inverse=True) for d in range(3)]
-    if math.prod(len(u) for u, _ in axes) <= len(points):
-        out = _predict_lattice(model, axes)
+    ok = (np.isfinite(points).all(axis=1)
+          & (np.abs(points[:, 2] - model.height) <= PLANE_TOL_M))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"query index {i} at {points[i].tolist()} is not a "
+                         f"finite point on the map plane z = {model.height!r}")
+    (lo_x, lo_y), (hi_x, hi_y) = model.lo, model.hi
+    w_psi, w_z = model.weights * np.sqrt(4.0 / np.prod(model.hi - model.lo))
+    (ux, ix), (uy, iy) = (np.unique(points[:, d], return_inverse=True)
+                          for d in range(2))
+    if len(ux) * len(uy) <= len(points):
+        sx, cx = _axis_tables(ux, lo_x, hi_x, model.wx)
+        sy, cy = _axis_tables(uy, lo_y, hi_y, model.wy)
+        out = np.stack([-(cx @ w_psi) @ sy.T, -(sx @ w_psi) @ cy.T,
+                        (sx @ w_z) @ sy.T], axis=-1)[ix, iy]
     else:
-        out = np.empty((len(points), 3))
-        for start in range(0, len(points), _PREDICT_BLOCK_ROWS):
-            block = points[start:start + _PREDICT_BLOCK_ROWS]
-            out[start:start + len(block)] = (
-                _kernel_matrix(block, model.train_pos, model.params) @ model.alpha)
+        sx, cx = _axis_tables(points[:, 0], lo_x, hi_x, model.wx)
+        sy, cy = _axis_tables(points[:, 1], lo_y, hi_y, model.wy)
+        out = np.column_stack([-np.sum((cx @ w_psi) * sy, axis=1),
+                               -np.sum((sx @ w_psi) * cy, axis=1),
+                               np.sum((sx @ w_z) * sy, axis=1)])
     out += model.mean
     return out
 
@@ -257,6 +279,8 @@ def write_fingerprints_csv(fingerprints, path) -> None:
 
 
 def read_fingerprints_csv(path) -> list:
+    """Fingerprints of a CSV file; a row that does not parse raises
+    DegenerateTrainingError naming its 1-based line number."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -264,8 +288,17 @@ def read_fingerprints_csv(path) -> list:
             raise DegenerateTrainingError(f"unexpected fingerprint header {header}")
         out = []
         for row in reader:
-            vals = [float(v) for v in row]
-            if len(vals) != 6:
-                raise DegenerateTrainingError(f"bad fingerprint row {row}")
+            if len(row) != 6:
+                raise DegenerateTrainingError(
+                    f"fingerprint line {reader.line_num}: expected 6 values, "
+                    f"got {len(row)}")
+            vals = []
+            for v in row:
+                try:
+                    vals.append(float(v))
+                except ValueError:
+                    raise DegenerateTrainingError(
+                        f"fingerprint line {reader.line_num}: cannot parse "
+                        f"{v!r}") from None
             out.append(Fingerprint(np.array(vals[:3]), np.array(vals[3:])))
     return out

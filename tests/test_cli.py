@@ -172,6 +172,31 @@ class TestBuildMap:
                 in capsys.readouterr().err)
         assert not (out / "map_gpr.mag").exists()
 
+    def test_unparsable_fingerprint_names_its_line_exit_1(self, tmp_path,
+                                                           config_path, capsys):
+        path = tmp_path / "fp.csv"
+        path.write_text("x,y,z,bx,by,bz\n"
+                        "1.0,1.0,0.0,18.0,4.0,-44.0\n"
+                        "1.5,1.0,0.0,oops,4.0,-44.0\n")
+        out = tmp_path / "m"
+        assert main(["build-map", "--config", config_path,
+                     "--fingerprints", str(path), "--out", str(out)]) == 1
+        assert "fingerprint line 3: cannot parse 'oops'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_off_plane_fingerprint_exit_1(self, tmp_path, config_path, capsys):
+        path = tmp_path / "fp.csv"
+        path.write_text("x,y,z,bx,by,bz\n"
+                        "1.0,1.0,0.0,18.0,4.0,-44.0\n"
+                        "1.5,1.0,0.0,18.0,4.0,-44.0\n"
+                        "2.0,1.0,0.2,18.0,4.0,-44.0\n")
+        out = tmp_path / "m"
+        assert main(["build-map", "--config", config_path,
+                     "--fingerprints", str(path), "--out", str(out)]) == 1
+        assert ("fingerprint index 2 at z = 0.2 is off the plane"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestRunAndEval:
     @pytest.fixture
@@ -382,6 +407,19 @@ class TestPipeline:
         assert main(["pipeline", "--config", str(path), "--out", str(out),
                      *flags]) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_var", 0.0), ("noise_var", -0.04), ("lengthscale", 0.0)])
+    def test_bad_gpr_value_exit_2_before_any_write(self, tmp_path, capsys,
+                                                   key, value):
+        cfg = small_config()
+        cfg.gpr[key] = value
+        path = tmp_path / "bad.json"
+        scenario.save_config(cfg, path)
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        assert f"{key} must be positive" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_ate_of_estimated_frames(self, tmp_path):

@@ -1,13 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
 
+import magloc
 from magloc import gpr
 from magloc.errors import DegenerateTrainingError
-from magloc.gpr import (Fingerprint, KernelParams, _kernel_matrix, build_grid,
-                        fit, predict_many, read_fingerprints_csv,
+from magloc.gpr import (Fingerprint, KernelParams, build_grid, fit,
+                        predict_many, read_fingerprints_csv,
                         write_fingerprints_csv)
 from magloc.magmap import DipoleSource, FieldModel, sample_field_many
 
@@ -18,49 +22,85 @@ def make_params(**kw):
     return KernelParams(**base)
 
 
+def planar(rng, n, extent=3.0, height=0.0):
+    """n positions uniform over [0, extent] in x and y (a scalar or an
+    (x, y) pair) on the plane z = height."""
+    return np.column_stack([rng.uniform(0, extent, size=(n, 2)),
+                            np.full(n, height)])
+
+
+def fingerprints(pos, fields):
+    return [Fingerprint(p, b) for p, b in zip(pos, fields)]
+
+
 def fit_random(rng, n, params):
-    pos = rng.uniform(0, 3, size=(n, 3))
+    pos = planar(rng, n)
     fields = rng.normal(size=(n, 3)) * 6 + 30
-    return fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
+    return fit(fingerprints(pos, fields), params)
 
 
-def broadcast_reference(model, query):
-    """Posterior mean through one unblocked broadcast kernel."""
-    d2 = np.sum((query[:, None, :] - model.train_pos[None, :, :])**2, axis=-1)
-    kstar = model.params.signal_var * np.exp(
-        -d2 / (2.0 * model.params.lengthscale**2))
-    return model.mean + kstar @ model.alpha
+def basis(model, pos):
+    """The model's features written out per fingerprint, as the oracle.
+
+    Returns the kept 1-based frequency indices (a, b), the (n, m) Bz
+    features phi and the (n, m) psi features -dphi/dx and -dphi/dy, and the
+    (m,) spectral density of the unit-variance 2-D RBF kernel."""
+    lo, hi = model.lo, model.hi
+    half = (hi - lo) / 2.0
+    cutoff = gpr.OMEGA_CUTOFF / model.params.lengthscale
+    a, b = np.meshgrid(np.arange(1, 200), np.arange(1, 200), indexing="ij")
+    wa, wb = np.pi * a / (2 * half[0]), np.pi * b / (2 * half[1])
+    keep = wa**2 + wb**2 <= cutoff**2
+    a, b, wa, wb = a[keep], b[keep], wa[keep], wb[keep]
+    x, y = pos[:, :1] - lo[0], pos[:, 1:2] - lo[1]
+    scale = 1.0 / np.sqrt(half[0] * half[1])
+    phi = np.sin(wa * x) * np.sin(wb * y) * scale
+    minus_dx = -wa * np.cos(wa * x) * np.sin(wb * y) * scale
+    minus_dy = -np.sin(wa * x) * wb * np.cos(wb * y) * scale
+    l2 = model.params.lengthscale**2
+    density = 2 * np.pi * l2 * np.exp(-0.5 * l2 * (wa**2 + wb**2))
+    return (a, b), phi, minus_dx, minus_dy, density
 
 
-def rbf(pj, pk, params):
-    """The RBF kernel of one pair of points, written out as the oracle."""
-    d2 = float(np.sum((pj - pk)**2))
-    return params.signal_var * np.exp(-d2 / (2.0 * params.lengthscale**2))
+def dense_weights(model, pos, fields):
+    """psi and Bz weights from np.linalg.solve on an explicitly built Phi."""
+    (a, b), phi, minus_dx, minus_dy, density = basis(model, pos)
+    p = model.params
+    y = fields - fields.mean(axis=0)
+    phi_psi = np.vstack([minus_dx, minus_dy])
+    w_psi = np.linalg.solve(
+        phi_psi.T @ phi_psi
+        + p.noise_var * np.diag(1 / (p.signal_var * p.lengthscale**2 * density)),
+        phi_psi.T @ np.concatenate([y[:, 0], y[:, 1]]))
+    w_z = np.linalg.solve(
+        phi.T @ phi + p.noise_var * np.diag(1 / (p.signal_var * density)),
+        phi.T @ y[:, 2])
+    return (a, b), w_psi, w_z
 
 
-class TestKernel:
-    def test_zero_distance(self, rng):
-        params = make_params()
-        p = rng.normal(size=(20, 3))
-        assert np.all(np.diag(_kernel_matrix(p, p, params)) == 25.0)
+def dense_reference(model, query):
+    """Posterior mean through explicitly built per-point features."""
+    (a, b), phi, minus_dx, minus_dy, _ = basis(model, query)
+    w_psi, w_z = model.weights[:, a - 1, b - 1]
+    inside = np.all((query[:, :2] >= model.lo) & (query[:, :2] <= model.hi),
+                    axis=1)
+    out = np.column_stack([minus_dx @ w_psi, minus_dy @ w_psi, phi @ w_z])
+    out[~inside] = 0.0
+    return model.mean + out
 
-    def test_one_lengthscale(self):
-        params = make_params(lengthscale=0.7)
-        a = np.zeros((1, 3))
-        b = np.array([[0.7, 0.0, 0.0]])
-        np.testing.assert_allclose(_kernel_matrix(a, b, params)[0, 0],
-                                   25.0 * np.exp(-0.5), rtol=1e-12)
 
-    def test_symmetry(self, rng):
-        params = make_params(lengthscale=0.9)
-        p = rng.normal(size=(100, 3))
-        k = _kernel_matrix(p, p, params)
-        assert np.array_equal(k, k.T)
+class TestKernelParams:
+    @pytest.mark.parametrize("name", ["lengthscale", "signal_var", "noise_var"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            make_params(**{name: value})
 
 
 class TestFit:
     def test_single_point_shrinkage(self):
-        # 1x1 closed form: mean + signal_var/(signal_var+noise_var)*(B - mean).
+        # One fingerprint: the mean is its field, so the prediction there is
+        # mean + (shrunk) zero residual, the field itself.
         params = make_params(signal_var=4.0, noise_var=1.0)
         fp = Fingerprint(np.zeros(3), np.array([10.0, -2.0, 6.0]))
         model = fit([fp], params)
@@ -71,170 +111,117 @@ class TestFit:
     def test_constant_fields_give_zero_weights(self, rng):
         params = make_params()
         field = np.array([30.0, -10.0, 5.0])
-        fps = [Fingerprint(rng.uniform(0, 3, 3), field.copy()) for _ in range(6)]
-        model = fit(fps, params)
-        np.testing.assert_allclose(model.alpha, 0.0, atol=1e-12)
-        np.testing.assert_allclose(predict_many(model, np.full((1, 3), 9.0))[0],
-                                   field, atol=1e-12)
+        model = fit(fingerprints(planar(rng, 6), [field] * 6), params)
+        np.testing.assert_allclose(model.weights, 0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            predict_many(model, np.array([[1.5, 2.0, 0.0]]))[0], field,
+            atol=1e-12)
+
+    def test_weights_match_dense_feature_solve(self, rng):
+        params = make_params(lengthscale=0.7, noise_var=0.05)
+        pos = planar(rng, 200, extent=4.0, height=0.3)
+        fields = rng.normal(size=(200, 3)) * 6 + 30
+        model = fit(fingerprints(pos, fields), params)
+        (a, b), w_psi, w_z = dense_weights(model, pos, fields)
+        assert np.count_nonzero(model.weights[0]) == len(a) > 100
+        np.testing.assert_allclose(model.weights[0][a - 1, b - 1], w_psi,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(model.weights[1][a - 1, b - 1], w_z,
+                                   rtol=0, atol=1e-9)
 
     def test_predictions_match_dense_solve(self, rng):
-        # Independent dense solve of the same linear system.
         params = make_params(lengthscale=0.8, noise_var=0.1)
-        pos = rng.uniform(0, 2, size=(5, 3))
-        fields = rng.normal(size=(5, 3)) * 10
-        fps = [Fingerprint(p, b) for p, b in zip(pos, fields)]
-        model = fit(fps, params)
+        pos = planar(rng, 40, extent=2.0)
+        fields = rng.normal(size=(40, 3)) * 10
+        model = fit(fingerprints(pos, fields), params)
+        (a, b), w_psi, w_z = dense_weights(model, pos, fields)
+        _, phi, minus_dx, minus_dy, _ = basis(model, pos)
+        expected = fields.mean(axis=0) + np.column_stack(
+            [minus_dx @ w_psi, minus_dy @ w_psi, phi @ w_z])
+        np.testing.assert_allclose(predict_many(model, pos), expected,
+                                   rtol=0, atol=1e-8)
 
-        k = np.empty((5, 5))
-        for i in range(5):
-            for j in range(5):
-                k[i, j] = rbf(pos[i], pos[j], params)
-        k += params.noise_var * np.eye(5)
-        mean = fields.mean(axis=0)
-        alpha = np.linalg.solve(k, fields - mean)
-        for i in range(5):
-            expected = mean + k[i] @ alpha - params.noise_var * alpha[i]
-            np.testing.assert_allclose(predict_many(model, pos[i][None])[0],
-                                       expected, atol=1e-8)
-
-    def test_weights_match_c_ordered_factor(self, rng):
-        # fit factors the Fortran-ordered view of the symmetric kernel; the
-        # weights are those of the C-ordered factorization, bit for bit.
-        params = make_params(lengthscale=0.7, noise_var=0.05)
-        pos = rng.uniform(0, 4, size=(200, 3))
-        fields = rng.normal(size=(200, 3)) * 6 + 30
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        k = _kernel_matrix(pos, pos, params)
-        k[np.diag_indices_from(k)] += params.noise_var
-        assert k.flags.c_contiguous
-        alpha = cho_solve(cho_factor(k, lower=True), fields - fields.mean(axis=0))
-        assert np.array_equal(model.alpha, alpha)
+    def test_duplicated_survey_equals_halved_noise(self, rng):
+        # Repeated positions need no special case: every fingerprint taken
+        # twice is the same posterior as each taken once at half the noise.
+        pos = planar(rng, 50)
+        fields = rng.normal(size=(50, 3)) * 6 + 30
+        twice = fit(fingerprints(np.vstack([pos, pos]), np.vstack([fields, fields])),
+                    make_params(noise_var=0.1))
+        once = fit(fingerprints(pos, fields), make_params(noise_var=0.05))
+        np.testing.assert_allclose(twice.weights, once.weights, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("row, column, value", [
         (3, "field", np.nan), (5, "position", np.inf)])
     def test_non_finite_rejected(self, rng, row, column, value):
-        pos = rng.uniform(0, 3, size=(8, 3))
+        pos = planar(rng, 8)
         fields = rng.normal(size=(8, 3)) * 6 + 30
         (pos if column == "position" else fields)[row, 1] = value
         with pytest.raises(DegenerateTrainingError,
                            match=f"fingerprint index {row} has a non-finite"):
-            fit([Fingerprint(p, b) for p, b in zip(pos, fields)], make_params())
+            fit(fingerprints(pos, fields), make_params())
 
-    def test_peak_memory_one_kernel_buffer(self, rng):
-        # The kernel is factored in its own buffer: one n x n array, where
-        # a factor into a copy holds two.
-        n = 1500
-        pos = rng.uniform(0, 12, size=(n, 3))
-        fields = rng.normal(size=(n, 3)) * 6 + 30
-        fps = [Fingerprint(p, b) for p, b in zip(pos, fields)]
+    def test_off_plane_rejected(self, rng):
+        pos = planar(rng, 8, height=0.5)
+        pos[6, 2] += 1e-3
+        with pytest.raises(DegenerateTrainingError,
+                           match="fingerprint index 6 at z = 0.501 is off the plane"):
+            fit(fingerprints(pos, np.zeros((8, 3))), make_params())
+
+    def test_peak_memory_below_a_tenth_of_a_kernel(self, rng):
+        # The exact GP held an n x n kernel.  The reduced-rank fit holds
+        # (n, 2 mx + 1) tables and the (2, m, m) system, m = 384 on a survey
+        # of the reference scenario's 13 m x 8 m.
+        n = 3000
+        pos = planar(rng, n, extent=(13.0, 8.0))
+        fps = fingerprints(pos, rng.normal(size=(n, 3)) * 6 + 30)
         tracemalloc.start()
         try:
             fit(fps, make_params())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8
-
-    def test_residual_check_rejects_a_perturbed_solve(self, rng, monkeypatch):
-        pos = rng.uniform(0, 4, size=(200, 3))
-        fields = rng.normal(size=(200, 3)) * 6 + 30
-        fps = [Fingerprint(p, b) for p, b in zip(pos, fields)]
-        fit(fps, make_params())
-
-        def perturbed(*args, **kwargs):
-            return cho_solve(*args, **kwargs) + 1e-6
-
-        monkeypatch.setattr(gpr, "cho_solve", perturbed)
-        with pytest.raises(DegenerateTrainingError, match="residual"):
-            fit(fps, make_params())
-
-    def test_jitter_retry_rebuilds_the_kernel(self, rng, monkeypatch):
-        # The first factor overwrites its buffer and then fails, so the
-        # retry must start from a fresh kernel.
-        params = make_params(lengthscale=0.8, noise_var=0.1)
-        pos = rng.uniform(0, 4, size=(60, 3))
-        fields = rng.normal(size=(60, 3)) * 6 + 30
-        calls = []
-
-        def fail_once(a, **kwargs):
-            calls.append(a.shape)
-            if len(calls) == 1:
-                cho_factor(a, **kwargs)
-                raise np.linalg.LinAlgError("forced failure")
-            return cho_factor(a, **kwargs)
-
-        monkeypatch.setattr(gpr, "cho_factor", fail_once)
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        assert len(calls) == 2
-        k = np.array([[rbf(pj, pk, params) for pk in pos] for pj in pos])
-        k += (params.noise_var + 1e-8 * params.signal_var) * np.eye(60)
-        np.testing.assert_allclose(
-            model.alpha, np.linalg.solve(k, fields - fields.mean(axis=0)),
-            rtol=1e-9, atol=1e-9)
-
-    def test_jitter_retry_gives_up(self, rng, monkeypatch):
-        def always_fail(a, **kwargs):
-            raise np.linalg.LinAlgError("forced failure")
-
-        monkeypatch.setattr(gpr, "cho_factor", always_fail)
-        fps = [Fingerprint(rng.normal(size=3), np.zeros(3)) for _ in range(4)]
-        with pytest.raises(DegenerateTrainingError, match="even with jitter"):
-            fit(fps, make_params())
-
-    def test_duplicate_positions_rejected(self):
-        p = np.array([1.0, 1.0, 0.0])
-        fps = [Fingerprint(p, np.zeros(3)), Fingerprint(p.copy(), np.ones(3))]
-        with pytest.raises(DegenerateTrainingError):
-            fit(fps, make_params())
+        assert peak < 0.1 * n * n * 8
 
     def test_empty_rejected(self):
         with pytest.raises(DegenerateTrainingError):
             fit([], make_params())
 
-    def test_training_cap(self, rng):
-        fps = [Fingerprint(rng.normal(size=3), np.zeros(3)) for _ in range(5001)]
-        with pytest.raises(DegenerateTrainingError):
-            fit(fps, make_params())
+    def test_basis_cap(self, rng):
+        fps = fingerprints(planar(rng, 10), np.zeros((10, 3)))
+        with pytest.raises(DegenerateTrainingError, match="basis frequencies exceed"):
+            fit(fps, make_params(lengthscale=0.05))
 
 
 class TestPredict:
     def test_prior_reversion_far_away(self, rng):
         params = make_params()
-        fps = [Fingerprint(rng.uniform(0, 1, 3), rng.normal(size=3) * 5 + 30)
-               for _ in range(8)]
+        fps = fingerprints(planar(rng, 8, extent=1.0), rng.normal(size=(8, 3)) * 5 + 30)
         model = fit(fps, params)
         far = np.array([100.0 * params.lengthscale, 0.0, 0.0])
         np.testing.assert_allclose(predict_many(model, far[None])[0], model.mean,
                                    atol=1e-6)
 
-    def test_noise_free_interpolation(self, rng):
-        params = make_params(noise_var=0.0)
-        pos = rng.uniform(0, 3, size=(30, 3))
-        fields = rng.normal(size=(30, 3)) * 8 + 40
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        preds = predict_many(model, pos)
-        np.testing.assert_allclose(preds, fields, atol=1e-8)
-
     def test_translation_invariance(self, rng):
         params = make_params(lengthscale=0.6)
-        pos = rng.uniform(0, 2, size=(10, 3))
+        pos = planar(rng, 10, extent=2.0)
         fields = rng.normal(size=(10, 3)) * 5
         shift = np.array([13.0, -4.0, 2.0])
-        m1 = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        m2 = fit([Fingerprint(p + shift, b) for p, b in zip(pos, fields)], params)
-        q = rng.uniform(0, 2, size=3)
+        m1 = fit(fingerprints(pos, fields), params)
+        m2 = fit(fingerprints(pos + shift, fields), params)
+        q = np.append(rng.uniform(0, 2, size=2), 0.0)
         np.testing.assert_allclose(predict_many(m1, q[None])[0],
                                    predict_many(m2, (q + shift)[None])[0],
                                    atol=1e-9)
 
     def test_constant_offset_absorbed_by_mean(self, rng):
         params = make_params()
-        pos = rng.uniform(0, 2, size=(12, 3))
+        pos = planar(rng, 12, extent=2.0)
         fields = rng.normal(size=(12, 3)) * 4
         offset = np.array([7.0, -3.0, 11.0])
-        m1 = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        m2 = fit([Fingerprint(p, b + offset) for p, b in zip(pos, fields)], params)
-        q = rng.uniform(-1, 3, size=3)
+        m1 = fit(fingerprints(pos, fields), params)
+        m2 = fit(fingerprints(pos, fields + offset), params)
+        q = np.append(rng.uniform(-1, 3, size=2), 0.0)
         np.testing.assert_allclose(predict_many(m2, q[None])[0],
                                    predict_many(m1, q[None])[0] + offset,
                                    atol=1e-9)
@@ -251,8 +238,8 @@ class TestPredict:
         pos = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
         truth = sample_field_many(model_field, pos)
         noisy = truth + rng.normal(0, sigma, size=truth.shape)
-        fps = [Fingerprint(p, b) for p, b in zip(pos, noisy)]
-        gp = fit(fps, make_params(lengthscale=0.5, noise_var=sigma**2))
+        gp = fit(fingerprints(pos, noisy),
+                 make_params(lengthscale=0.5, noise_var=sigma**2))
         held = np.column_stack([rng.uniform(0.3, 2.7, 60),
                                 rng.uniform(0.3, 2.7, 60), np.zeros(60)])
         pred = predict_many(gp, held)
@@ -260,77 +247,84 @@ class TestPredict:
         rmse = np.sqrt(np.mean((pred - ref)**2))
         assert rmse <= 3.0 * sigma
 
-    def test_blocks_match_unblocked_reference(self, rng):
-        # Two full blocks of 1024 rows plus a partial one of 7, then none.
+    def test_horizontal_field_is_curl_free(self, rng):
+        # (Bx, By) = -grad psi, so dBx/dy = dBy/dx; central differences.
+        model = fit_random(rng, 80, make_params(lengthscale=0.7))
+        h = 1e-4
+        for p in planar(rng, 10):
+            def at(dx, dy):
+                return predict_many(model, (p + [dx, dy, 0.0])[None])[0]
+            dbx_dy = (at(0.0, h)[0] - at(0.0, -h)[0]) / (2 * h)
+            dby_dx = (at(h, 0.0)[1] - at(-h, 0.0)[1]) / (2 * h)
+            assert abs(dbx_dy) > 0.1
+            assert dbx_dy == pytest.approx(dby_dx, abs=1e-5)
+
+    def test_point_features_match_dense_reference(self, rng):
         params = make_params(lengthscale=0.6)
-        pos = rng.uniform(0, 3, size=(40, 3))
-        fields = rng.normal(size=(40, 3)) * 6 + 30
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)], params)
-        query = rng.uniform(-1, 4, size=(2 * 1024 + 7, 3))
-        d2 = np.sum((query[:, None, :] - pos[None, :, :])**2, axis=-1)
-        kstar = params.signal_var * np.exp(-d2 / (2.0 * params.lengthscale**2))
+        model = fit_random(rng, 40, params)
+        query = np.column_stack([rng.uniform(-3, 6, size=(500, 2)), np.zeros(500)])
         np.testing.assert_allclose(predict_many(model, query),
-                                   model.mean + kstar @ model.alpha,
-                                   rtol=1e-12, atol=1e-12)
+                                   dense_reference(model, query),
+                                   rtol=0, atol=1e-10)
         assert predict_many(model, np.empty((0, 3))).shape == (0, 3)
 
+    @pytest.mark.parametrize("z", [0.01, np.nan])
+    def test_off_plane_query_rejected(self, rng, z):
+        model = fit_random(rng, 20, make_params())
+        query = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, z]])
+        with pytest.raises(ValueError,
+                           match="query index 1 .* not a finite point on the map plane"):
+            predict_many(model, query)
 
-def lattice(xs, ys, zs):
-    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=-1)
+
+def lattice(xs, ys, z=0.0):
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), np.full(gx.size, z)], axis=-1)
 
 
 class TestLatticePath:
     """Queries spanning a lattice no larger than themselves take the
-    separable per-axis path; it must equal the broadcast kernel."""
-
-    @staticmethod
-    def forbid_cross_kernel(monkeypatch):
-        def fail(*args):
-            raise AssertionError("lattice queries took the cdist path")
-        monkeypatch.setattr(gpr, "_kernel_matrix", fail)
+    separable per-axis path; it must equal the per-point features."""
 
     def cases(self, rng):
         xs = np.linspace(-1.0, 4.0, 23)
         ys = np.linspace(-0.5, 3.5, 17)
-        grid = lattice(xs, ys, [0.0])
+        grid = lattice(xs, ys)
         return {
             "shuffled": grid[rng.permutation(len(grid))],
             "non-uniform": lattice(np.sort(rng.uniform(-1, 4, 19)),
-                                   np.sort(rng.uniform(-1, 4, 11)) ** 2, [0.3]),
-            "two levels": lattice(xs, ys, [-0.4, 0.9]),
+                                   np.sort(rng.uniform(-1, 4, 11)) ** 2),
+            "past the box": lattice(np.linspace(-6.0, 9.0, 31), ys),
             "repeated": np.concatenate([grid, grid[::3], grid[:5]]),
-            "one point": np.array([[0.7, 1.1, 0.2]]),
+            "one point": np.array([[0.7, 1.1, 0.0]]),
         }
 
-    def test_matches_broadcast_reference(self, rng, monkeypatch):
+    def test_matches_broadcast_reference(self, rng):
         model = fit_random(rng, 60, make_params(lengthscale=0.6))
-        self.forbid_cross_kernel(monkeypatch)
         for name, query in self.cases(rng).items():
             np.testing.assert_allclose(predict_many(model, query),
-                                       broadcast_reference(model, query),
-                                       rtol=1e-12, atol=1e-10, err_msg=name)
-        assert predict_many(model, np.empty((0, 3))).shape == (0, 3)
+                                       dense_reference(model, query),
+                                       rtol=0, atol=1e-10, err_msg=name)
 
-    def test_blocks_of_distinct_values(self, rng, monkeypatch):
-        # 2 * 1024 + 5 distinct x values: two full blocks and a partial one.
-        model = fit_random(rng, 30, make_params(lengthscale=0.8))
-        self.forbid_cross_kernel(monkeypatch)
-        query = lattice(np.linspace(0, 3, 2 * 1024 + 5), [0.5, 1.5], [0.0])
-        np.testing.assert_allclose(predict_many(model, query),
-                                   broadcast_reference(model, query),
-                                   rtol=1e-12, atol=1e-10)
+    def test_grid_nodes_match_point_features(self, rng):
+        # build_grid takes the lattice path; the grid's diagonal, queried on
+        # its own, spans n^2 > n lattice points and takes the point path.
+        model = fit_random(rng, 60, make_params(lengthscale=0.6))
+        grid = build_grid(model, (-0.5, -0.5), 0.05, 80, 80)
+        diagonal = np.array([grid.node_position(i, i) for i in range(80)])
+        np.testing.assert_allclose(predict_many(model, diagonal),
+                                   grid.values[np.arange(80), np.arange(80)],
+                                   rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("axis", [0, 1])
     def test_peak_memory_on_a_line(self, rng, axis):
-        # 5000 points on one axis-aligned line against 917 points: an
-        # unblocked (5000, 917) factor alone would take 37 MB.
+        # 5000 points on one axis-aligned line against 917 fingerprints.
         pos = np.column_stack([rng.uniform(0, 15, 917), rng.uniform(0, 10, 917),
                                np.zeros(917)])
         fields = rng.normal(size=(917, 3)) * 5 + 30
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)],
-                    make_params())
+        model = fit(fingerprints(pos, fields), make_params())
         line = np.full((5000, 3), 0.5)
+        line[:, 2] = 0.0
         line[:, axis] = np.linspace(0, 15, 5000)
         tracemalloc.start()
         try:
@@ -344,18 +338,17 @@ class TestLatticePath:
 class TestBuildGrid:
     def test_zero_weights_give_uniform_map(self, rng):
         field = np.array([25.0, 0.0, -40.0])
-        fps = [Fingerprint(rng.uniform(0, 2, 3), field.copy()) for _ in range(5)]
-        model = fit(fps, make_params())
+        model = fit(fingerprints(planar(rng, 5, extent=2.0), [field] * 5),
+                    make_params())
         grid = build_grid(model, (0.0, 0.0), 0.5, 4, 4)
         for i in range(4):
             for j in range(4):
                 np.testing.assert_allclose(grid.values[i, j], field, atol=1e-10)
 
     def test_nodes_match_pointwise_predictions(self, rng):
-        pos = rng.uniform(0, 2, size=(10, 3))
+        pos = planar(rng, 10, extent=2.0)
         fields = rng.normal(size=(10, 3)) * 6 + 30
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)],
-                    make_params())
+        model = fit(fingerprints(pos, fields), make_params())
         grid = build_grid(model, (0.2, 0.1), 0.4, 3, 3, plane_height=0.0)
         for i in range(3):
             for j in range(3):
@@ -365,13 +358,12 @@ class TestBuildGrid:
                     atol=1e-12)
 
     def test_peak_memory_stays_blocked(self, rng):
-        # 15251 nodes against 917 points: the (m, n, 3) difference array
-        # alone would take 336 MB, one 1024-row kernel block takes 7.5 MB.
+        # 15251 nodes against 917 fingerprints: the separable tables are
+        # (151, mx) and (101, my); the output is 0.37 MB.
         pos = np.column_stack([rng.uniform(0, 15, 917), rng.uniform(0, 10, 917),
                                np.zeros(917)])
         fields = rng.normal(size=(917, 3)) * 5 + 30
-        model = fit([Fingerprint(p, b) for p, b in zip(pos, fields)],
-                    make_params())
+        model = fit(fingerprints(pos, fields), make_params())
         tracemalloc.start()
         try:
             build_grid(model, (0.0, 0.0), 0.1, 151, 101)
@@ -382,8 +374,8 @@ class TestBuildGrid:
 
     def test_save_load_round_trip(self, tmp_path, rng):
         from magloc.magmap import load_map, save_map
-        pos = rng.uniform(0, 2, size=(6, 3))
-        model = fit([Fingerprint(p, rng.normal(size=3) * 5 + 20) for p in pos],
+        pos = planar(rng, 6, extent=2.0)
+        model = fit(fingerprints(pos, rng.normal(size=(6, 3)) * 5 + 20),
                     make_params())
         grid = build_grid(model, (0.0, 0.0), 0.5, 5, 4)
         save_map(grid, tmp_path / "g.mag")
@@ -408,3 +400,27 @@ class TestFingerprintCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DegenerateTrainingError):
             read_fingerprints_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,0,oops,5,6", "line 3: cannot parse 'oops'"),
+        ("1,2,0,4,5", "line 3: expected 6 values, got 5"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row, message):
+        path = tmp_path / "fp.csv"
+        path.write_text(f"x,y,z,bx,by,bz\n0,0,0,1,2,3\n{row}\n0,1,0,1,2,3\n")
+        with pytest.raises(DegenerateTrainingError, match=message):
+            read_fingerprints_csv(path)
+
+
+def test_import_leaves_scipy_out():
+    # No module of the package needs scipy; importing it would cost every
+    # CLI call its import time.
+    src = str(Path(magloc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, magloc, magloc.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -109,6 +109,13 @@ def _frequencies(lo, hi, lengthscale: float):
     return wx, wy, np.add.outer(wx**2, wy**2) <= cutoff**2
 
 
+def _spectral_density(wx, wy, keep, lengthscale: float):
+    """The unit-variance 2-D RBF spectral density, 2 pi l^2
+    exp(-|w|^2 l^2 / 2), at the kept frequency pairs, (m,)."""
+    l2 = lengthscale**2
+    return 2.0 * np.pi * l2 * np.exp(-0.5 * l2 * np.add.outer(wx**2, wy**2)[keep])
+
+
 def _axis_tables(u: np.ndarray, start: float, end: float, w: np.ndarray):
     """sin(w (u - start)) and w cos(w (u - start)), each (len(u), len(w)),
     with the rows of u outside [start, end] zero."""
@@ -210,9 +217,9 @@ def fit(fingerprints, params: KernelParams) -> GprModel:
     a, rhs = _normal_equations(pos, fields - mean, lo, hi, wx, wy, keep)
     norm = 4.0 / np.prod(hi - lo)  # 1 / (Lx Ly)
     a *= norm
-    l2 = params.lengthscale**2
-    density = 2.0 * np.pi * l2 * np.exp(-0.5 * l2 * np.add.outer(wx**2, wy**2)[keep])
-    prior = np.outer([params.signal_var * l2, params.signal_var], density)
+    density = _spectral_density(wx, wy, keep, params.lengthscale)
+    prior = np.outer([params.signal_var * params.lengthscale**2,
+                      params.signal_var], density)
     diag = np.arange(len(density))
     a[:, diag, diag] += params.noise_var / prior
     weights = np.zeros((2, len(wx), len(wy)))

@@ -89,6 +89,68 @@ def dense_reference(model, query):
     return model.mean + out
 
 
+def reduced_rank_kernel(p, q, params, lo, hi):
+    """Prior covariances of Bz, Bx and By between the (n, 3) points p and
+    the (k, 3) points q that the model's basis and weight priors imply,
+    sum_j var S_j f_j(p) f_j(q), each (n, k)."""
+    wx, wy, keep = gpr._frequencies(lo, hi, params.lengthscale)
+    density = gpr._spectral_density(wx, wy, keep, params.lengthscale)
+    norm = 4.0 / np.prod(np.subtract(hi, lo))
+
+    def features(pts):
+        sx, cx = gpr._axis_tables(pts[:, 0], lo[0], hi[0], wx)
+        sy, cy = gpr._axis_tables(pts[:, 1], lo[1], hi[1], wy)
+
+        def outer(u, v):
+            return (u[:, :, None] * v[:, None, :])[:, keep]
+        return outer(sx, sy), -outer(cx, sy), -outer(sx, cy)
+
+    var = params.signal_var * np.array([1.0, params.lengthscale**2,
+                                        params.lengthscale**2])
+    return [norm * v * (fp * density) @ fq.T
+            for v, fp, fq in zip(var, features(p), features(q))]
+
+
+class TestKernel:
+    """The basis and spectral-density priors approximate the curl-free RBF
+    kernel: Bz has the RBF kernel of variance signal_var, and (Bx, By) =
+    -grad psi with psi's RBF variance signal_var * l^2.  Points lie 3 m
+    inside the box, where the truncation at OMEGA_CUTOFF / l dominates the
+    error (relative e^-12.5 for Bz, 27 e^-12.5 / 2 for Bx and By)."""
+
+    lo, hi = np.array([-3.0, -3.0]), np.array([6.0, 6.0])
+
+    def test_zero_distance(self, rng):
+        p = planar(rng, 20)
+        for k in reduced_rank_kernel(p, p, make_params(), self.lo, self.hi):
+            np.testing.assert_allclose(np.diag(k), 25.0, rtol=1e-4)
+
+    def test_one_lengthscale(self):
+        # One lengthscale apart along x: Bz and By covary as the RBF,
+        # 25 e^-1/2, and Bx as 25 (1 - r^2 / l^2) e^-1/2 = 0.
+        params = make_params(lengthscale=0.7)
+        a = np.array([[1.0, 1.5, 0.0]])
+        b = np.array([[1.7, 1.5, 0.0]])
+        kz, kx, ky = (k[0, 0] for k in reduced_rank_kernel(a, b, params,
+                                                            self.lo, self.hi))
+        np.testing.assert_allclose([kz, kx, ky],
+                                   [25.0 * np.exp(-0.5), 0.0, 25.0 * np.exp(-0.5)],
+                                   rtol=0, atol=1e-3)
+
+    def test_symmetry(self, rng):
+        params = make_params(lengthscale=0.9)
+        p, q = planar(rng, 100), planar(rng, 30)
+        for kpq, kqp in zip(reduced_rank_kernel(p, q, params, self.lo, self.hi),
+                            reduced_rank_kernel(q, p, params, self.lo, self.hi)):
+            np.testing.assert_allclose(kpq, kqp.T, rtol=0, atol=1e-12)
+        # The normal matrices of fit are gathered symmetrically, bit for bit.
+        wx, wy, keep = gpr._frequencies(self.lo, self.hi, params.lengthscale)
+        normal, _ = gpr._normal_equations(p, rng.normal(size=(100, 3)),
+                                          self.lo, self.hi, wx, wy, keep)
+        for a in normal:
+            assert np.array_equal(a, a.T)
+
+
 class TestKernelParams:
     @pytest.mark.parametrize("name", ["lengthscale", "signal_var", "noise_var"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
@@ -201,6 +263,16 @@ class TestPredict:
         far = np.array([100.0 * params.lengthscale, 0.0, 0.0])
         np.testing.assert_allclose(predict_many(model, far[None])[0], model.mean,
                                    atol=1e-6)
+
+    def test_noise_free_interpolation(self, rng):
+        # noise_var = 0 is rejected; in the limit noise_var -> 0 the
+        # posterior mean interpolates fingerprints that the basis resolves.
+        params = make_params(lengthscale=0.5, noise_var=1e-12)
+        pos = planar(rng, 20)
+        fields = rng.normal(size=(20, 3)) * 8 + 40
+        model = fit(fingerprints(pos, fields), params)
+        preds = predict_many(model, pos)
+        np.testing.assert_allclose(preds, fields, atol=1e-8)
 
     def test_translation_invariance(self, rng):
         params = make_params(lengthscale=0.6)
@@ -316,16 +388,31 @@ class TestLatticePath:
                                    grid.values[np.arange(80), np.arange(80)],
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("axis", [0, 1])
+    def test_blocks_of_distinct_values(self, rng):
+        # 2 * 1024 + 5 distinct x values against 2 y values: a long, thin
+        # lattice, taken whole by the (nx, mx) table.
+        model = fit_random(rng, 30, make_params(lengthscale=0.8))
+        query = lattice(np.linspace(0, 3, 2 * 1024 + 5), [0.5, 1.5])
+        np.testing.assert_allclose(predict_many(model, query),
+                                   dense_reference(model, query),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_peak_memory_on_a_line(self, rng, axis):
-        # 5000 points on one axis-aligned line against 917 fingerprints.
+        # 5000 points on one line against 917 fingerprints: along x (axis
+        # 0) or y (axis 1) the line is a lattice; axis 2 is the diagonal
+        # x = y, which takes the per-point path (a line along z would leave
+        # the map plane).
         pos = np.column_stack([rng.uniform(0, 15, 917), rng.uniform(0, 10, 917),
                                np.zeros(917)])
         fields = rng.normal(size=(917, 3)) * 5 + 30
         model = fit(fingerprints(pos, fields), make_params())
         line = np.full((5000, 3), 0.5)
         line[:, 2] = 0.0
-        line[:, axis] = np.linspace(0, 15, 5000)
+        if axis == 2:
+            line[:, :2] = np.linspace(0, 10, 5000)[:, None]
+        else:
+            line[:, axis] = np.linspace(0, 15, 5000)
         tracemalloc.start()
         try:
             predict_many(model, line)

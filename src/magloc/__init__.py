@@ -21,7 +21,7 @@ from .gpr import Fingerprint, GprModel, KernelParams, build_grid, fit, predict_m
 from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,
                   generate_trajectory, read_dataset, simulate_odometry,
-                  simulate_readings, write_dataset)
+                  write_dataset)
 from .window import SlidingWindow, regressor, sensor_poses
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
                         gauss_newton_step, pose_jacobian, pose_residual,

@@ -63,9 +63,8 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def cmd_gen_dataset(args) -> int:
-    config = _load_scenario(args)
-    model = scenario.field_model(config)
+def _trajectory(config) -> list:
+    """Poses of the trajectory section, whose waypoints must lie on the map."""
     spec = scenario.grid_spec(config)
     extent_x = spec["origin"][0] + (spec["nx"] - 1) * spec["resolution"]
     extent_y = spec["origin"][1] + (spec["ny"] - 1) * spec["resolution"]
@@ -73,10 +72,16 @@ def cmd_gen_dataset(args) -> int:
         if not (spec["origin"][0] <= w[0] <= extent_x
                 and spec["origin"][1] <= w[1] <= extent_y):
             raise ConfigurationError(f"waypoint {w} outside the mapped region")
-    poses = sim.generate_trajectory(config.trajectory.waypoints,
-                                    config.trajectory.speed,
-                                    config.trajectory.frame_rate,
-                                    config.trajectory.height)
+    return sim.generate_trajectory(config.trajectory.waypoints,
+                                   config.trajectory.speed,
+                                   config.trajectory.frame_rate,
+                                   config.trajectory.height)
+
+
+def cmd_gen_dataset(args) -> int:
+    config = _load_scenario(args)
+    model = scenario.field_model(config)
+    poses = _trajectory(config)
     rig = scenario.rig(config)
     calibs = scenario.true_calibrations(config)
     noise = scenario.noise_config(config)
@@ -219,9 +224,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # cmd_build_map and cmd_run read the gpr and solver sections only after
-    # earlier steps have written files; check both before any write.
+    # Each step reads its scenario sections only after the steps before it
+    # have written files; resolve every section before the first write.
     config = _load_scenario(args)
+    scenario.field_model(config)
+    _trajectory(config)
+    scenario.fingerprint_positions(config)
+    scenario.true_calibrations(config)
+    scenario.noise_config(config)
     scenario.kernel_params(config)
     _solver_from_args(config, args)
     out = _out_dir(args)

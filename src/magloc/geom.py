@@ -22,13 +22,13 @@ SMALL_ANGLE = 1e-8
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix such that skew(v) @ w == cross(v, w)."""
-    x, y, z = v
-    return np.array([
-        [0.0, -z, y],
-        [z, 0.0, -x],
-        [-y, x, 0.0],
-    ])
+    """Skew-symmetric matrices (..., 3, 3) of vectors (..., 3), such that
+    skew(v) @ w == cross(v, w)."""
+    v = np.asarray(v, dtype=float)
+    s = np.zeros(v.shape[:-1] + (3, 3))
+    s[..., [2, 0, 1], [1, 2, 0]] = v
+    s[..., [1, 2, 0], [2, 0, 1]] = -v
+    return s
 
 
 def rot_z(yaw: float) -> np.ndarray:
@@ -38,14 +38,15 @@ def rot_z(yaw: float) -> np.ndarray:
 
 
 def exp_so3(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula mapping a rotation vector to a rotation matrix."""
+    """Rodrigues formula mapping rotation vectors (..., 3) to rotation
+    matrices (..., 3, 3).  Every vector in a stack rounds as it does alone."""
     phi = np.asarray(phi, dtype=float)
-    angle = float(np.linalg.norm(phi))
+    angle = np.sqrt(phi[..., None, :] @ phi[..., :, None])  # (..., 1, 1)
     s = skew(phi)
-    if angle < SMALL_ANGLE:
-        return np.eye(3) + s + 0.5 * (s @ s)
-    a = np.sin(angle) / angle
-    b = (1.0 - np.cos(angle)) / (angle * angle)
+    big = angle >= SMALL_ANGLE
+    a = np.divide(np.sin(angle), angle, out=np.ones_like(angle), where=big)
+    b = np.divide(1.0 - np.cos(angle), angle * angle,
+                  out=np.full_like(angle, 0.5), where=big)
     return np.eye(3) + a * s + b * (s @ s)
 
 
@@ -126,12 +127,6 @@ class PosePerturbation:
 
     dp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dphi: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def norm_translation(self) -> float:
-        return float(np.linalg.norm(self.dp))
-
-    def norm_rotation(self) -> float:
-        return float(np.linalg.norm(self.dphi))
 
 
 def boxplus(x: PoseState, dx: PosePerturbation) -> PoseState:

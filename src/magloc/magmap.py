@@ -93,7 +93,7 @@ class MagneticGridMap:
     plane_height: float = 0.0
 
     def __post_init__(self):
-        if self.resolution <= 0.0:
+        if not self.resolution > 0.0:
             raise ConfigurationError("map resolution must be positive")
         if self.nx < 2 or self.ny < 2:
             raise ConfigurationError("map needs at least 2x2 nodes")
@@ -226,14 +226,22 @@ def load_map(path) -> MagneticGridMap:
     header_len = len(MAP_MAGIC) + struct.calcsize("<ddddII")
     if len(blob) < header_len or blob[:len(MAP_MAGIC)] != MAP_MAGIC:
         raise MapFormatError("missing or malformed MAGMAP01 header")
-    ox, oy, resolution, plane_height, nx, ny = struct.unpack(
-        "<ddddII", blob[len(MAP_MAGIC):header_len])
+    header = struct.unpack("<ddddII", blob[len(MAP_MAGIC):header_len])
+    ox, oy, resolution, plane_height, nx, ny = header
+    for name, value in zip(("origin_x", "origin_y", "resolution", "plane_height"),
+                           header):
+        if not np.isfinite(value) or (name == "resolution" and not value > 0.0):
+            raise MapFormatError(f"header field {name} is {value}")
     payload = blob[header_len:]
     expected = nx * ny * 3 * 8
     if len(payload) != expected:
         raise MapFormatError(
             f"payload holds {len(payload)} bytes, header implies {expected}")
     values = np.frombuffer(payload, dtype="<f8").reshape(ny, nx, 3)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        j, i = bad[0][:2]
+        raise MapFormatError(f"node ({i}, {j}) holds a non-finite value")
     return MagneticGridMap(np.array([ox, oy]), resolution, nx, ny,
                            np.ascontiguousarray(values.transpose(1, 0, 2)),
                            plane_height)

@@ -139,8 +139,12 @@ def field_model(config: ScenarioConfig) -> FieldModel:
 
 def grid_spec(config: ScenarioConfig) -> dict:
     w = config.world
-    return {"origin": np.asarray(w.origin, float), "resolution": float(w.resolution),
+    spec = {"origin": np.asarray(w.origin, float), "resolution": float(w.resolution),
             "nx": int(w.nx), "ny": int(w.ny), "plane_height": float(w.plane_height)}
+    if not (spec["resolution"] > 0.0
+            and np.isfinite([*spec["origin"], spec["plane_height"]]).all()):
+        raise ConfigurationError("world.resolution must be positive, origin and height finite")
+    return spec
 
 
 def rig(config: ScenarioConfig) -> list:
@@ -153,7 +157,7 @@ def rig(config: ScenarioConfig) -> list:
 
 def noise_config(config: ScenarioConfig) -> NoiseConfig:
     try:
-        return NoiseConfig(rng_seed=config.seed, **config.noise)
+        return NoiseConfig(**config.noise)
     except TypeError as exc:
         raise ConfigurationError(f"bad noise section: {exc}") from exc
 
@@ -202,8 +206,9 @@ def coverage_waypoints(config: ScenarioConfig) -> list:
     xmax = w.origin[0] + (w.nx - 1) * w.resolution - fp.margin
     ymin = w.origin[1] + fp.margin
     ymax = w.origin[1] + (w.ny - 1) * w.resolution - fp.margin
-    if xmin >= xmax or ymin >= ymax:
-        raise ConfigurationError("fingerprint margin leaves no interior")
+    if not (xmin < xmax and ymin < ymax):
+        raise ConfigurationError(
+            f"fingerprints.margin {fp.margin!r} leaves no interior")
     points = []
     y = ymin
     left_to_right = True

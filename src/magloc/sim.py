@@ -10,6 +10,11 @@ Datasets serialize as JSON lines, one frame per line with fields
     readings (N*3, row per sensor flattened), gt_p, gt_q.
 Rotations are stored as quaternions in memory as well, so write/read
 round trips are bit-exact.  RNG: numpy PCG64, seeded per scenario.
+
+A dataset is simulated over stacked (frame, sensor) arrays.  Its draws
+come in a fixed order, odometry noise (x, y, yaw) for every moving step
+and then reading noise for every frame, and that order keeps a dataset
+byte-identical for a seed: a new noise source takes its own generator.
 """
 
 import json
@@ -30,8 +35,9 @@ class SensorExtrinsics:
     translation: np.ndarray  # (3,) meters
 
     def __post_init__(self):
-        if float(np.linalg.norm(self.translation)) > 2.0:
-            raise ConfigurationError("sensor offset outside robot footprint")
+        if not (np.linalg.norm(self.translation) <= 2.0
+                and np.isfinite(self.rotation).all()):
+            raise ConfigurationError("sensor pose non-finite or outside robot footprint")
 
 
 @dataclass
@@ -42,8 +48,9 @@ class CalibrationParams:
     b: np.ndarray  # (3,) uT
 
     def __post_init__(self):
-        if abs(float(np.linalg.det(self.c))) <= 1e-6:
-            raise ConfigurationError("calibration matrix is singular")
+        if not (np.isfinite(self.c).all() and np.isfinite(self.b).all()
+                and abs(float(np.linalg.det(self.c))) > 1e-6):
+            raise ConfigurationError("calibration is singular or non-finite")
 
     def theta(self) -> np.ndarray:
         """12-vector [rows of c, b]."""
@@ -69,10 +76,10 @@ class NoiseConfig:
     meas_sigma: float = 0.2  # uT per axis
     odom_trans_sigma: float = 0.01  # meters per meter traveled
     odom_rot_sigma: float = 0.005  # radians per meter traveled
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if min(self.meas_sigma, self.odom_trans_sigma, self.odom_rot_sigma) < 0:
+        if not np.all(np.array([self.meas_sigma, self.odom_trans_sigma,
+                                self.odom_rot_sigma]) >= 0.0):
             raise ConfigurationError("noise sigmas must be non-negative")
 
 
@@ -133,13 +140,8 @@ def rotation_from_quat(q: np.ndarray) -> np.ndarray:
 
 def default_rig() -> list:
     """Eight sensors at the corners of two 0.3 m x 0.2 m chassis rectangles."""
-    offsets = []
-    for x0, x1 in ((0.1, 0.4), (-0.4, -0.1)):
-        for x in (x0, x1):
-            for y in (-0.1, 0.1):
-                offsets.append((x, y))
     return [SensorExtrinsics(np.eye(3), np.array([x, y, 0.0]))
-            for x, y in offsets]
+            for x in (0.1, 0.4, -0.4, -0.1) for y in (-0.1, 0.1)]
 
 
 def sample_distortions(n: int, rng: np.random.Generator,
@@ -162,60 +164,53 @@ def generate_trajectory(waypoints, speed: float, frame_rate: float,
     Samples every speed/frame_rate meters of arc length; at a corner the
     sample takes the outgoing segment's heading.
     """
-    waypoints = [np.asarray(w, dtype=float)[:2] for w in waypoints]
     if len(waypoints) < 2:
         raise ConfigurationError("need at least two waypoints")
-    if speed <= 0.0 or frame_rate <= 0.0:
-        raise ConfigurationError("speed and frame_rate must be positive")
-    seg_vecs = [b - a for a, b in zip(waypoints[:-1], waypoints[1:])]
-    seg_lens = [float(np.linalg.norm(v)) for v in seg_vecs]
-    if min(seg_lens) <= 0.0:
-        raise ConfigurationError("repeated consecutive waypoints")
+    if not (0.0 < speed < np.inf and 0.0 < frame_rate < np.inf and np.isfinite(height)):
+        raise ConfigurationError(
+            "speed and frame_rate must be positive and finite, height finite")
+    xy = np.array([np.asarray(w, dtype=float)[:2] for w in waypoints])
+    seg_vecs = np.diff(xy, axis=0)
+    seg_lens = np.linalg.norm(seg_vecs, axis=1)
+    if not np.all(seg_lens > 0.0):
+        raise ConfigurationError("repeated or non-finite consecutive waypoints")
     cum = np.concatenate([[0.0], np.cumsum(seg_lens)])
-    total = float(cum[-1])
     step = speed / frame_rate
-    n_samples = int(np.floor(total / step + 1e-9)) + 1
-    poses = []
-    for k in range(n_samples):
-        s = min(k * step, total)
-        # Outgoing segment: first segment whose far end lies strictly ahead.
-        seg = int(np.searchsorted(cum[1:-1], s, side="right"))
-        frac = (s - cum[seg]) / seg_lens[seg]
-        xy = waypoints[seg] + frac * seg_vecs[seg]
-        yaw = float(np.arctan2(seg_vecs[seg][1], seg_vecs[seg][0]))
-        poses.append(PoseState(np.array([xy[0], xy[1], height]),
-                               np.array([0.0, 0.0, yaw])))
-    return poses
+    s = np.minimum(np.arange(int(np.floor(cum[-1] / step + 1e-9)) + 1) * step,
+                   cum[-1])
+    # Outgoing segment: first segment whose far end lies strictly ahead.
+    seg = np.searchsorted(cum[1:-1], s, side="right")
+    xy = xy[seg] + ((s - cum[seg]) / seg_lens[seg])[:, None] * seg_vecs[seg]
+    yaw = np.arctan2(seg_vecs[:, 1], seg_vecs[:, 0])[seg]
+    return [PoseState(np.array([x, y, height]), np.array([0.0, 0.0, a]))
+            for (x, y), a in zip(xy, yaw)]
 
 
 def simulate_odometry(poses, noise: NoiseConfig, rng: np.random.Generator) -> list:
     """Noisy body-frame increments (dR, dp) between consecutive poses.
 
     Noise is planar (body x/y translation, yaw rotation) and scales with
-    the step length, matching wheel odometry of a ground robot.
+    the step length, matching wheel odometry of a ground robot.  It is one
+    draw of x, y and yaw for each step of non-zero length, in step order.
     """
     if len(poses) < 2:
         raise ConfigurationError("need at least two poses")
-    increments = []
-    for prev, cur in zip(poses[:-1], poses[1:]):
-        r_prev = prev.rotation()
-        dr = r_prev.T @ cur.rotation()
-        dp = r_prev.T @ (cur.position - prev.position)
-        step_len = float(np.linalg.norm(cur.position - prev.position))
-        if step_len > 0.0:
-            dp = dp + np.array([
-                rng.normal(0.0, noise.odom_trans_sigma * step_len),
-                rng.normal(0.0, noise.odom_trans_sigma * step_len),
-                0.0,
-            ])
-            dyaw = rng.normal(0.0, noise.odom_rot_sigma * step_len)
-            dr = dr @ exp_so3(np.array([0.0, 0.0, dyaw]))
-        increments.append((dr, dp))
-    return increments
+    rots = exp_so3(np.stack([p.orientation for p in poses]))
+    positions = np.stack([p.position for p in poses])
+    back = np.swapaxes(rots[:-1], 1, 2)  # world to previous body frame
+    steps = np.diff(positions, axis=0)
+    dr, dp = back @ rots[1:], (back @ steps[:, :, None])[:, :, 0]
+    step_lens = np.linalg.norm(steps, axis=1)
+    moving = step_lens > 0.0
+    draws = rng.normal(0.0, step_lens[moving, None] * [
+        noise.odom_trans_sigma, noise.odom_trans_sigma, noise.odom_rot_sigma])
+    dp[moving, :2] += draws[:, :2]
+    dr[moving] = dr[moving] @ exp_so3(draws * [0.0, 0.0, 1.0])
+    return list(zip(dr, dp))
 
 
 def sensor_world_poses(gt_pose: PoseState, extrinsics) -> tuple:
-    """World rotation and position of every sensor at a robot pose."""
+    """World rotation and position of every sensor at one robot pose."""
     r_body = gt_pose.rotation()
     rots = np.stack([r_body @ e.rotation for e in extrinsics])
     positions = np.stack([r_body @ e.translation + gt_pose.position
@@ -223,45 +218,30 @@ def sensor_world_poses(gt_pose: PoseState, extrinsics) -> tuple:
     return rots, positions
 
 
-def simulate_readings(field: FieldModel, gt_pose: PoseState, extrinsics,
-                      calibrations, noise: NoiseConfig,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Raw distorted readings for all sensors at one pose, (N, 3) uT."""
-    rots, positions = sensor_world_poses(gt_pose, extrinsics)
-    env = sample_field_many(field, positions)
-    readings = np.empty_like(env)
-    for i, calib in enumerate(calibrations):
-        body_field = rots[i].T @ env[i]
-        readings[i] = np.linalg.solve(calib.c, body_field - calib.b)
-    if noise.meas_sigma > 0.0:
-        readings = readings + rng.normal(0.0, noise.meas_sigma, size=readings.shape)
-    return readings
-
-
 def build_dataset(field: FieldModel, poses, frame_rate: float, extrinsics,
                   calibrations, noise: NoiseConfig,
                   rng: np.random.Generator) -> list:
-    """Simulate the full frame sequence for a trajectory."""
+    """Simulate the full frame sequence for a trajectory, all T frames and
+    N sensors at once: one field evaluation over the (T, N) sensor
+    positions, one batched distortion solve, one (T, N, 3) noise draw."""
     if len(extrinsics) != len(calibrations):
         raise ConfigurationError("one calibration per sensor required")
-    increments = simulate_odometry(poses, noise, rng)
-    frames = []
-    for k, pose in enumerate(poses):
-        if k == 0:
-            dr, dp = np.eye(3), np.zeros(3)
-        else:
-            dr, dp = increments[k - 1]
-        readings = simulate_readings(field, pose, extrinsics, calibrations,
-                                     noise, rng)
-        frames.append(DatasetFrame(
-            t=k / frame_rate,
-            odom_dq=quat_from_rotation(dr),
-            odom_dp=np.asarray(dp, dtype=float),
-            readings=readings,
-            gt_p=pose.position.copy(),
-            gt_q=quat_from_rotation(pose.rotation()),
-        ))
-    return frames
+    increments = [(np.eye(3), np.zeros(3))] + simulate_odometry(poses, noise, rng)
+    r_body = exp_so3(np.stack([p.orientation for p in poses]))
+    positions = np.stack([p.position for p in poses])
+    rots = r_body[:, None] @ np.stack([e.rotation for e in extrinsics])
+    offsets = np.stack([e.translation for e in extrinsics])[:, :, None]
+    sensor_positions = (r_body[:, None] @ offsets)[..., 0] + positions[:, None]
+    env = sample_field_many(field, sensor_positions.reshape(-1, 3))
+    body = np.swapaxes(rots, 2, 3) @ env.reshape(sensor_positions.shape + (1,))
+    biases = np.stack([c.b for c in calibrations])[:, :, None]
+    readings = np.linalg.solve(np.stack([c.c for c in calibrations]),
+                               body - biases)[..., 0]
+    if noise.meas_sigma > 0.0:
+        readings = readings + rng.normal(0.0, noise.meas_sigma, size=readings.shape)
+    return [DatasetFrame(k / frame_rate, quat_from_rotation(dr), dp, readings[k],
+                         pose.position.copy(), quat_from_rotation(r_body[k]))
+            for k, (pose, (dr, dp)) in enumerate(zip(poses, increments))]
 
 
 def write_dataset(frames, path) -> None:

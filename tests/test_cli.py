@@ -273,6 +273,27 @@ class TestRunAndEval:
         assert "frame 5" in capsys.readouterr().err
         assert not run_out.exists()
 
+    @pytest.mark.parametrize("corrupt, message", [
+        ("resolution", "header field resolution"), ("block", "node (20, 10)")])
+    def test_non_finite_map_exit_1_without_outputs(self, tmp_path, workdir,
+                                                   capsys, corrupt, message):
+        # A NaN resolution once made every frame fall back, and a block of
+        # NaN nodes crashed the estimator on a NaN yaw.
+        config_path, out = workdir
+        grid = magmap.load_map(out / "map_true.mag")
+        if corrupt == "resolution":
+            grid.resolution = float("nan")
+        else:
+            grid.values[20:30, 10:20] = np.nan
+        bad = tmp_path / "bad.mag"
+        magmap.save_map(grid, bad)
+        run_out = tmp_path / "nan_map_run"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+        assert not run_out.exists()
+
     @pytest.mark.parametrize("key, q", [("dq", [1.0, 1.0, 0.0, 0.0]),
                                         ("gt_q", [0.9, 0.0, 0.0, 0.1])])
     def test_non_planar_rotation_exit_1_without_outputs(self, tmp_path, workdir,
@@ -420,6 +441,25 @@ class TestPipeline:
         out = tmp_path / "p"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
         assert f"{key} must be positive" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("section, key, message", [
+        ("trajectory", "speed", "speed and frame_rate must be positive"),
+        ("trajectory", "height", "height finite"),
+        ("fingerprints", "margin", "fingerprints.margin nan leaves no interior"),
+        ("world", "resolution", "world.resolution must be positive"),
+        ("noise", "odom_trans_sigma", "noise sigmas must be non-negative")])
+    def test_non_finite_scenario_value_exit_2_before_any_write(
+            self, tmp_path, capsys, section, key, message):
+        # Each of these once passed its check and failed only after
+        # gen-world had written map_true.mag.
+        data = small_config().to_dict()
+        data[section][key] = float("nan")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_ate_of_estimated_frames(self, tmp_path):

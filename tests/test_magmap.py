@@ -105,6 +105,11 @@ class TestRasterize:
         with pytest.raises(ConfigurationError):
             rasterize(model, (0.0, 0.0), 0.5, 5, 5)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, np.nan])
+    def test_non_positive_resolution_rejected(self, resolution):
+        with pytest.raises(ConfigurationError, match="resolution"):
+            MagneticGridMap(np.zeros(2), resolution, 2, 2, np.zeros((2, 2, 3)))
+
     def test_dipole_below_floor_allowed(self):
         model = FieldModel(np.array([20.0, 0.0, -40.0]),
                            [DipoleSource(np.array([1.0, 1.0, -1.0]), np.ones(3))])
@@ -333,4 +338,28 @@ class TestMapIo:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])  # drop one f64 from the payload
         with pytest.raises(MapFormatError):
+            load_map(path)
+
+    @pytest.mark.parametrize("index, name, value", [
+        (0, "origin_x", np.nan), (1, "origin_y", np.inf),
+        (2, "resolution", np.nan), (2, "resolution", 0.0),
+        (3, "plane_height", -np.inf)])
+    def test_bad_header_field_named(self, tmp_path, index, name, value):
+        path = tmp_path / "m.mag"
+        save_map(affine_map(np.eye(3), np.zeros(3)), path)
+        blob = bytearray(path.read_bytes())
+        offset = 8 + 8 * index
+        blob[offset:offset + 8] = np.array(value, dtype="<f8").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MapFormatError, match=f"header field {name}"):
+            load_map(path)
+
+    def test_non_finite_node_named(self, tmp_path):
+        grid = affine_map(np.eye(3), np.zeros(3))
+        grid.values[5, 3, 2] = np.nan
+        grid.values[2:4, 4:6] = np.inf
+        path = tmp_path / "m.mag"
+        save_map(grid, path)
+        # The first bad node in file order, where the x index runs fastest.
+        with pytest.raises(MapFormatError, match=r"node \(5, 3\)"):
             load_map(path)

@@ -9,7 +9,7 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         generate_trajectory,
                         quat_from_rotation, read_dataset, rotation_from_quat,
                         sample_distortions, sensor_world_poses,
-                        simulate_odometry, simulate_readings, write_dataset)
+                        simulate_odometry, write_dataset)
 
 from conftest import random_rotation
 
@@ -20,6 +20,29 @@ def simple_field():
     return FieldModel(np.array([20.0, 5.0, -40.0]),
                       [DipoleSource(np.array([4.0, 4.0, -1.0]),
                                     np.array([30.0, -50.0, 80.0]))])
+
+
+def turning_path():
+    """A path whose heading takes four values, one of them diagonal."""
+    return generate_trajectory([[0.5, 0.5], [3.0, 0.5], [3.0, 2.0], [1.0, 2.6]],
+                               0.5, 10.0)
+
+
+def readings_of(frames):
+    return np.stack([f.readings for f in frames])
+
+
+def per_frame_readings(field, poses, rig, calibs=None):
+    """Noiseless (T, N, 3) readings, one pose and one sensor at a time: the
+    reference for build_dataset's stacked arrays.  Without calibrations,
+    the ambient field in each sensor's frame."""
+    calibs = calibs or [CalibrationParams.identity()] * len(rig)
+    out = []
+    for pose in poses:
+        rots, positions = sensor_world_poses(pose, rig)
+        out.append([np.linalg.solve(c.c, rots[i].T @ sample_field(field, positions[i])
+                                    - c.b) for i, c in enumerate(calibs)])
+    return np.array(out)
 
 
 class TestCalibrationParams:
@@ -41,6 +64,10 @@ class TestCalibrationParams:
     def test_singular_rejected(self):
         with pytest.raises(ConfigurationError):
             CalibrationParams(np.zeros((3, 3)), np.zeros(3))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            CalibrationParams(np.full((3, 3), np.nan), np.zeros(3))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            CalibrationParams(np.eye(3), np.array([0.0, np.inf, 0.0]))
 
 
 class TestQuaternions:
@@ -133,14 +160,13 @@ class TestOdometry:
 class TestReadings:
     def test_identity_distortion(self, rng):
         field = simple_field()
-        pose = PoseState(np.array([1.0, 1.0, 0.0]), np.array([0, 0, 0.7]))
+        poses = turning_path()
         rig = default_rig()
         calibs = [CalibrationParams.identity() for _ in rig]
-        readings = simulate_readings(field, pose, rig, calibs, ZERO_NOISE, rng)
-        rots, positions = sensor_world_poses(pose, rig)
-        for i in range(len(rig)):
-            expected = rots[i].T @ sample_field(field, positions[i])
-            np.testing.assert_allclose(readings[i], expected, atol=1e-12)
+        frames = build_dataset(field, poses, 10.0, rig, calibs, ZERO_NOISE, rng)
+        np.testing.assert_allclose(readings_of(frames),
+                                   per_frame_readings(field, poses, rig),
+                                   atol=1e-12)
 
     def test_distortion_round_trip_paper_regime(self, rng):
         # Diagonal scale plus bias in the published test regime: applying
@@ -150,43 +176,88 @@ class TestReadings:
         b = np.array([19.49, 20.60, 20.17])
         calib = CalibrationParams(c, b)
         field = simple_field()
-        pose = PoseState(np.array([2.0, 1.5, 0.0]), np.array([0, 0, -0.4]))
+        poses = turning_path()
         rig = default_rig()
-        readings = simulate_readings(field, pose, rig, [calib] * len(rig),
-                                     ZERO_NOISE, rng)
-        rots, positions = sensor_world_poses(pose, rig)
-        for i in range(len(rig)):
-            recovered = c @ readings[i] + b
-            expected = rots[i].T @ sample_field(field, positions[i])
-            np.testing.assert_allclose(recovered, expected, atol=1e-10)
+        frames = build_dataset(field, poses, 10.0, rig, [calib] * len(rig),
+                               ZERO_NOISE, rng)
+        recovered = readings_of(frames) @ c.T + b
+        np.testing.assert_allclose(recovered,
+                                   per_frame_readings(field, poses, rig),
+                                   atol=1e-10)
 
     def test_regressor_form_round_trip(self, rng):
         # h(reading) @ theta_true equals the body-frame ambient field.
         from magloc.window import regressor
         field = simple_field()
+        poses = turning_path()
         rig = default_rig()
         calibs = sample_distortions(len(rig), rng)
-        pose = PoseState(np.array([1.2, 2.0, 0.0]), np.array([0, 0, 1.1]))
-        readings = simulate_readings(field, pose, rig, calibs, ZERO_NOISE, rng)
-        rots, positions = sensor_world_poses(pose, rig)
-        for i, calib in enumerate(calibs):
-            lhs = regressor(readings[i]) @ calib.theta()
-            rhs = rots[i].T @ sample_field(field, positions[i])
-            np.testing.assert_allclose(lhs, rhs, atol=1e-9)
+        frames = build_dataset(field, poses, 10.0, rig, calibs, ZERO_NOISE, rng)
+        expected = per_frame_readings(field, poses, rig)
+        for frame, fields in zip(frames, expected):
+            for i, calib in enumerate(calibs):
+                lhs = regressor(frame.readings[i]) @ calib.theta()
+                np.testing.assert_allclose(lhs, fields[i], atol=1e-9)
+
+    def test_rotated_rig_matches_per_frame_reference(self, rng):
+        # Rotated extrinsics and random distortions: the default rig's
+        # identity rotations would hide a transposed or reordered product.
+        field = simple_field()
+        poses = turning_path()
+        rig = [SensorExtrinsics(exp_so3(rng.normal(size=3)),
+                                rng.uniform(-0.4, 0.4, 3)) for _ in range(5)]
+        assert all(np.abs(e.rotation - np.eye(3)).max() > 0.1 for e in rig)
+        calibs = sample_distortions(len(rig), rng)
+        frames = build_dataset(field, poses, 10.0, rig, calibs, ZERO_NOISE, rng)
+        expected = per_frame_readings(field, poses, rig, calibs)
+        np.testing.assert_allclose(readings_of(frames), expected, rtol=0,
+                                   atol=1e-12)
+
+    def test_draw_order(self):
+        # One (moving steps, 3) odometry draw of x, y, yaw, then one
+        # (T, N, 3) reading draw, on the same generator.  Clean datasets
+        # stay byte-identical only while this order holds.
+        field = simple_field()
+        poses = turning_path()
+        poses.insert(6, poses[5].copy())  # a stationary step draws nothing
+        rig = default_rig()
+        calibs = sample_distortions(len(rig), np.random.default_rng(1))
+        noise = NoiseConfig(meas_sigma=0.3, odom_trans_sigma=0.02,
+                            odom_rot_sigma=0.01)
+        noisy = build_dataset(field, poses, 10.0, rig, calibs, noise,
+                              np.random.default_rng(5))
+        clean = build_dataset(field, poses, 10.0, rig, calibs, ZERO_NOISE,
+                              np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        odometry = rng.standard_normal((len(poses) - 2, 3))
+        reading = rng.standard_normal((len(poses), len(rig), 3)) * 0.3
+        np.testing.assert_allclose(readings_of(noisy) - readings_of(clean),
+                                   reading, rtol=0, atol=1e-12)
+        steps = np.array([np.linalg.norm(b.position - a.position)
+                          for a, b in zip(poses[:-1], poses[1:])])
+        moving = [k + 1 for k, step in enumerate(steps) if step > 0.0]
+        assert len(moving) == len(odometry)
+        dp = np.stack([noisy[k].odom_dp - clean[k].odom_dp for k in moving])
+        np.testing.assert_allclose(dp[:, :2],
+                                   odometry[:, :2] * 0.02 * steps[steps > 0.0, None],
+                                   rtol=0, atol=1e-15)
+        extra = [rotation_from_quat(clean[k].odom_dq).T
+                 @ rotation_from_quat(noisy[k].odom_dq) for k in moving]
+        np.testing.assert_allclose([np.arctan2(r[1, 0], r[0, 0]) for r in extra],
+                                   odometry[:, 2] * 0.01 * steps[steps > 0.0],
+                                   rtol=0, atol=1e-12)
 
     def test_noise_monte_carlo_mean(self):
         # Mean residual of C @ reading + b - B_env over many draws stays
         # near zero (noise enters the raw reading, transformed by C).
         rng = np.random.default_rng(4)
         field = FieldModel(np.array([20.0, 5.0, -40.0]))
-        pose = PoseState.identity()
         ext = [SensorExtrinsics(np.eye(3), np.zeros(3))]
         calib = CalibrationParams(np.eye(3) * 1.05, np.array([3.0, -2.0, 1.0]))
         noise = NoiseConfig(meas_sigma=0.2)
-        resids = []
-        for _ in range(10000):
-            reading = simulate_readings(field, pose, ext, [calib], noise, rng)[0]
-            resids.append(calib.c @ reading + calib.b - field.earth_field)
+        frames = build_dataset(field, [PoseState.identity()] * 10000, 10.0, ext,
+                               [calib], noise, rng)
+        resids = readings_of(frames)[:, 0] @ calib.c.T + calib.b - field.earth_field
         mean = np.abs(np.mean(resids, axis=0))
         assert np.all(mean <= 0.01)
 
@@ -201,6 +272,13 @@ class TestReadings:
         # Two 0.3 m x 0.2 m rectangles.
         assert xs[3] - xs[2] == pytest.approx(0.3)
         assert ys[1] - ys[0] == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.eye(3), [2.5, 0.0, 0.0]), (np.eye(3), [np.nan, 0.0, 0.0]),
+        (np.full((3, 3), np.nan), [0.1, 0.0, 0.0])])
+    def test_bad_extrinsics_rejected(self, rotation, translation):
+        with pytest.raises(ConfigurationError, match="sensor"):
+            SensorExtrinsics(rotation, np.array(translation))
 
 
 class TestDatasetIo:

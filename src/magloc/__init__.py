@@ -24,8 +24,7 @@ from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   write_dataset)
 from .window import SlidingWindow, regressor, sensor_poses
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
-                        gauss_newton_step, pose_jacobian, pose_residual,
-                        rls_update, run)
+                        gauss_newton_step, rls_update, run)
 from .evaluate import TrajectoryPair, align_rigid, ate, calib_error, classify_frames
 
 __version__ = "0.1.0"

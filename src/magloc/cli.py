@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("eval", help="metrics report for a finished run")
-    p.add_argument("--config", help="scenario JSON (unused, accepted for symmetry)")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--run-dir", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--truth", default=None)

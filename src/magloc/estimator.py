@@ -12,7 +12,7 @@ least-squares solution over every frame so far; it replaces the paper's
 per-frame stochastic-gradient calibration step and seeds the next frame.
 
 The pose block evaluates the map once per iterate.  The calibrated
-readings H theta are fixed for the whole block and computed once.  Each
+readings C b + bias are fixed for the whole block and computed once.  Each
 line-search trial builds its candidate pose exactly as the next iterate
 would be built and keeps the sensor poses, map fields and residual it
 evaluated; the accepted trial becomes the next iterate, so a Gauss-Newton
@@ -87,6 +87,18 @@ class SolverConfig:
             if not getattr(self, name) >= 0.0:
                 raise ConfigurationError(
                     f"{name} must be >= 0, got {getattr(self, name)!r}")
+        # A truthy string such as "false" would turn calibration on.
+        if not isinstance(self.calibrate, bool):
+            raise ConfigurationError(
+                f"calibrate must be true or false, got {self.calibrate!r}")
+        # NaN would disable the fallback: no norm compares above it.
+        value = self.divergence_residual
+        if value is not None and (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.integer, np.floating))
+                or not value >= 0.0):
+            raise ConfigurationError(
+                f"divergence_residual must be a number >= 0 or null, got {value!r}")
 
     def divergence_threshold(self, n_sensors: int, window_len: int) -> float:
         if self.divergence_residual is not None:
@@ -116,14 +128,6 @@ def _pose(position: np.ndarray, yaw: float) -> PoseState:
     return PoseState(position, np.array([0.0, 0.0, yaw]))
 
 
-def pose_residual(window: SlidingWindow, theta: np.ndarray, x: PoseState,
-                  grid: MagneticGridMap, sensor: int) -> np.ndarray:
-    """Stacked (3*J,) residual of one sensor at the planar state x."""
-    snap = window.snapshot()
-    g = _fields_at(snap, x, grid)[3]
-    return (snap.regressors[:, sensor] @ theta - g[:, sensor]).ravel()
-
-
 def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
                   positions: np.ndarray, fields: np.ndarray,
                   p_body: np.ndarray) -> np.ndarray:
@@ -145,14 +149,6 @@ def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
     grads[..., 0, 2] += fields[..., 1]
     grads[..., 1, 2] -= fields[..., 0]
     return -np.matmul(rotations.swapaxes(-1, -2), grads)
-
-
-def pose_jacobian(window: SlidingWindow, x: PoseState, grid: MagneticGridMap,
-                  sensor: int) -> np.ndarray:
-    """Stacked (3*J, 3) pose Jacobian of one sensor; see _jacobian_all."""
-    rotations, positions, m, _ = _fields_at(window.snapshot(), x, grid)
-    return _jacobian_all(grid, rotations, positions, m,
-                         x.position)[:, sensor].reshape(-1, 3)
 
 
 def gauss_newton_step(residual, jacobian, mask: str, damping: float,
@@ -242,8 +238,9 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
     """
     snap = window.snapshot()
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
-    # Calibrated readings H theta, fixed while the calibration is.
-    pred = np.matmul(snap.regressors, thetas[None, :, :, None])[..., 0]
+    # Calibrated readings C b + bias, fixed while the calibration is.
+    pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
+                     snap.readings) + thetas[:, 9:]
 
     stalled = False
     steps = 0
@@ -329,10 +326,6 @@ class EstimatorOutput:
     def final_thetas(self) -> np.ndarray:
         return self.thetas[-1]
 
-    def poses(self) -> list:
-        return [PoseState(p.copy(), o.copy())
-                for p, o in zip(self.positions, self.orientations)]
-
 
 def _propagate_prior(x: PoseState, frame: DatasetFrame) -> PoseState:
     yaw = x.orientation[2]
@@ -341,8 +334,8 @@ def _propagate_prior(x: PoseState, frame: DatasetFrame) -> PoseState:
                  yaw + math.atan2(dr[1, 0], dr[0, 0]))
 
 
-def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
-        initial_pose: PoseState | None = None) -> EstimatorOutput:
+def run(frames, grid: MagneticGridMap, extrinsics,
+        config: SolverConfig) -> EstimatorOutput:
     """Online loop over a dataset: propagate, accumulate, alternate, filter.
 
     The prior starts at the first frame's reference pose (relocalization
@@ -383,10 +376,7 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
     window = SlidingWindow(config.window_m, extrinsics)
     rls = [RlsState.identity_init() for _ in range(n_sensors)]
     thetas = np.stack([identity_theta() for _ in range(n_sensors)])
-    x = (initial_pose or frames[0].gt_pose()).copy()
-
-    ext_r = np.stack([e.rotation for e in extrinsics])
-    ext_p = np.stack([e.translation for e in extrinsics])
+    x = frames[0].gt_pose()
 
     t_out, pos_out, ori_out, theta_out = [], [], [], []
     fb_out, alt_out, res_out, ms_out = [], [], [], []
@@ -403,12 +393,11 @@ def run(frames, grid: MagneticGridMap, extrinsics, config: SolverConfig,
             g = result.newest_fields
             if fallback:
                 # The pose block's fields are not at the reference pose.
-                r_body = rot_z(x.orientation[2])
-                sensor_r = np.einsum("ab,nbc->nac", r_body, ext_r)
-                sensor_p = np.einsum("ab,nb->na", r_body, ext_p) + x.position
+                newest = WindowSnapshot(window.readings[-1:],
+                                        window.rotations_t[-1:],
+                                        window.offsets[-1:])
                 try:
-                    m = interpolate_many(grid, sensor_p)
-                    g = np.einsum("nba,nb->na", sensor_r, m)
+                    g = _fields_at(newest, x, grid)[3][0]
                 except OutOfMapError:
                     g = None  # sensors marginally outside: skip this update
             if g is not None:

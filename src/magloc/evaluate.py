@@ -52,13 +52,13 @@ def pair_from_arrays(est_t, est_p, ref_t, ref_p) -> TrajectoryPair:
                           np.asarray(ref_t, float), np.asarray(ref_p, float))
 
 
-def align_rigid(pair: TrajectoryPair, max_dt: float = 0.05) -> RigidTransform:
-    """Least-squares rigid transform s minimizing sum ||s(p_est) - p_ref||^2.
+def _fit_rigid(est: np.ndarray, ref: np.ndarray) -> RigidTransform:
+    """Least-squares rigid transform s minimizing sum ||s(est) - ref||^2
+    over associated (K, 3) position arrays.
 
     Standard SVD construction on centered point sets with a reflection
-    guard; requires at least three non-collinear associated positions.
+    guard; requires at least three non-collinear positions.
     """
-    est, ref = pair.associated(max_dt)
     if len(est) < 3:
         raise AlignmentError(f"only {len(est)} associated positions")
     mu_e = est.mean(axis=0)
@@ -76,26 +76,24 @@ def align_rigid(pair: TrajectoryPair, max_dt: float = 0.05) -> RigidTransform:
     return RigidTransform(rotation, translation)
 
 
-def ate(pair: TrajectoryPair, transform: RigidTransform | None = None,
-        max_dt: float = 0.05) -> float:
-    """RMSE of translational error after rigid alignment, meters."""
-    if transform is None:
-        transform = align_rigid(pair, max_dt)
-    est, ref = pair.associated(max_dt)
-    if len(est) == 0:
-        raise AlignmentError("no associated positions")
-    aligned = est @ transform.rotation.T + transform.translation
-    return float(np.sqrt(np.mean(np.sum((aligned - ref)**2, axis=1))))
+def align_rigid(pair: TrajectoryPair, max_dt: float = 0.05) -> RigidTransform:
+    """Rigid transform aligning the associated estimated positions onto
+    the reference; see _fit_rigid."""
+    return _fit_rigid(*pair.associated(max_dt))
 
 
-def per_frame_errors(pair: TrajectoryPair,
-                     transform: RigidTransform | None = None,
-                     max_dt: float = 0.05) -> np.ndarray:
-    if transform is None:
-        transform = align_rigid(pair, max_dt)
+def per_frame_errors(pair: TrajectoryPair, max_dt: float = 0.05) -> np.ndarray:
+    """Translational error of each associated sample after rigid
+    alignment, meters."""
     est, ref = pair.associated(max_dt)
+    transform = _fit_rigid(est, ref)
     aligned = est @ transform.rotation.T + transform.translation
     return np.linalg.norm(aligned - ref, axis=1)
+
+
+def ate(pair: TrajectoryPair, max_dt: float = 0.05) -> float:
+    """RMSE of translational error after rigid alignment, meters."""
+    return float(np.sqrt(np.mean(per_frame_errors(pair, max_dt)**2)))
 
 
 def calib_error(theta_e: np.ndarray, theta_g: np.ndarray) -> float:
@@ -139,12 +137,11 @@ def evaluation_report(est_t, est_p, ref_t, ref_p, theta_est, theta_true,
                       mean_frame_ms: float, max_dt: float = 0.05) -> dict:
     """Report dict: ATE, per-sensor and averaged calibration error, class
     counts, timing."""
-    pair = pair_from_arrays(est_t, est_p, ref_t, ref_p)
-    transform = align_rigid(pair, max_dt)
-    errors = per_frame_errors(pair, transform, max_dt)
+    errors = per_frame_errors(pair_from_arrays(est_t, est_p, ref_t, ref_p),
+                              max_dt)
     per_sensor = [calib_error(e, g) for e, g in zip(theta_est, theta_true)]
     return {
-        "ate_m": ate(pair, transform, max_dt),
+        "ate_m": float(np.sqrt(np.mean(errors**2))),
         "calib_error_uT": {
             "per_sensor": [float(v) for v in per_sensor],
             "average": float(np.mean(per_sensor)) if per_sensor else 0.0,

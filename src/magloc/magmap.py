@@ -108,11 +108,6 @@ class MagneticGridMap:
                 float(self.origin[1]),
                 float(self.origin[1] + (self.ny - 1) * self.resolution))
 
-    def node_position(self, i: int, j: int) -> np.ndarray:
-        return np.array([self.origin[0] + i * self.resolution,
-                         self.origin[1] + j * self.resolution,
-                         self.plane_height])
-
 
 def _distance_to_grid_rect(p: np.ndarray, origin, resolution, nx, ny,
                            plane_height) -> float:

@@ -1,0 +1,34 @@
+"""Per-sensor views of the estimator's batched internals, for oracles.
+
+The finite-difference and residual checks compare one sensor's stacked
+residual and Jacobian; these helpers slice them out of the production
+`_fields_at` and `_jacobian_all`, which evaluate every (entry, sensor)
+pair at once.
+"""
+
+import numpy as np
+
+from magloc.estimator import _fields_at, _jacobian_all
+
+
+def pose_residual(window, theta, x, grid, sensor: int) -> np.ndarray:
+    """Stacked (3*J,) residual C b + bias - R^T M(p) of one sensor at the
+    planar state x."""
+    snap = window.snapshot()
+    g = _fields_at(snap, x, grid)[3]
+    c = np.reshape(theta[:9], (3, 3))
+    return (snap.readings[:, sensor] @ c.T + theta[9:] - g[:, sensor]).ravel()
+
+
+def pose_jacobian(window, x, grid, sensor: int) -> np.ndarray:
+    """Stacked (3*J, 3) pose Jacobian of one sensor; see _jacobian_all."""
+    rotations, positions, m, _ = _fields_at(window.snapshot(), x, grid)
+    return _jacobian_all(grid, rotations, positions, m,
+                         x.position)[:, sensor].reshape(-1, 3)
+
+
+def node_position(grid, i: int, j: int) -> np.ndarray:
+    """World position of grid node (i, j)."""
+    return np.array([grid.origin[0] + i * grid.resolution,
+                     grid.origin[1] + j * grid.resolution,
+                     grid.plane_height])

@@ -12,6 +12,8 @@ from magloc import evaluate, gpr, magmap, scenario, sim
 from magloc.cli import main
 from magloc.errors import ConfigurationError
 
+from helpers import node_position
+
 
 def small_config(seed=3, **kw):
     world = scenario.WorldConfig(
@@ -145,9 +147,9 @@ class TestBuildMap:
         cfg = small_config()
         model = gpr.fit(fps, scenario.kernel_params(cfg))
         for i, j in ((0, 0), (30, 25), (60, 50)):
+            node = node_position(grid, i, j)[None]
             np.testing.assert_allclose(grid.values[i, j],
-                                       gpr.predict_many(
-                                           model, grid.node_position(i, j)[None])[0],
+                                       gpr.predict_many(model, node)[0],
                                        atol=1e-10)
 
     def test_empty_fingerprints_fail(self, tmp_path, config_path):
@@ -419,6 +421,12 @@ class TestPipeline:
         ({"meas_sigma": -1.0}, [], "meas_sigma"),
         ({"state_mask": "full"}, [], "state_mask"),
         ({"state_mask": [True] * 6}, [], "state_mask"),
+        # A non-empty string is truthy: "false" would turn calibration on.
+        ({"calibrate": "false"}, [], "calibrate"),
+        # No norm compares above NaN: it would turn the fallback off.
+        ({"divergence_residual": float("nan")}, [], "divergence_residual"),
+        ({"divergence_residual": "10"}, [], "divergence_residual"),
+        ({"divergence_residual": -1.0}, [], "divergence_residual"),
     ])
     def test_bad_solver_value_exit_2_before_any_write(self, tmp_path, capsys,
                                                       solver, flags, name):

@@ -15,6 +15,8 @@ from magloc.gpr import (Fingerprint, KernelParams, build_grid, fit,
                         write_fingerprints_csv)
 from magloc.magmap import DipoleSource, FieldModel, sample_field_many
 
+from helpers import node_position
+
 
 def make_params(**kw):
     base = dict(lengthscale=1.0, signal_var=25.0, noise_var=0.04)
@@ -383,7 +385,7 @@ class TestLatticePath:
         # its own, spans n^2 > n lattice points and takes the point path.
         model = fit_random(rng, 60, make_params(lengthscale=0.6))
         grid = build_grid(model, (-0.5, -0.5), 0.05, 80, 80)
-        diagonal = np.array([grid.node_position(i, i) for i in range(80)])
+        diagonal = np.array([node_position(grid, i, i) for i in range(80)])
         np.testing.assert_allclose(predict_many(model, diagonal),
                                    grid.values[np.arange(80), np.arange(80)],
                                    rtol=0, atol=1e-12)
@@ -441,7 +443,7 @@ class TestBuildGrid:
             for j in range(3):
                 np.testing.assert_allclose(
                     grid.values[i, j],
-                    predict_many(model, grid.node_position(i, j)[None])[0],
+                    predict_many(model, node_position(grid, i, j)[None])[0],
                     atol=1e-12)
 
     def test_peak_memory_stays_blocked(self, rng):

@@ -10,6 +10,8 @@ from magloc.magmap import (DipoleSource, FieldModel, MagneticGridMap,
                            load_map, rasterize, sample_field, sample_field_many,
                            save_map)
 
+from helpers import node_position
+
 
 def affine_model(a, c):
     """Grid-map rasterized from an affine field B(p) = a @ p + c."""
@@ -94,7 +96,7 @@ class TestRasterize:
         grid = rasterize(model, (1.0, 2.0), 0.5, 4, 3, plane_height=0.25)
         for i in range(4):
             for j in range(3):
-                p = grid.node_position(i, j)
+                p = node_position(grid, i, j)
                 np.testing.assert_array_equal(p, [1.0 + 0.5 * i, 2.0 + 0.5 * j, 0.25])
                 np.testing.assert_allclose(grid.values[i, j],
                                            sample_field(model, p), atol=1e-12)
@@ -122,7 +124,7 @@ class TestInterpolate:
         grid = affine_map(rng.normal(size=(3, 3)), rng.normal(size=3))
         for i in (0, 3, 8):
             for j in (0, 2, 6):
-                p = grid.node_position(i, j)
+                p = node_position(grid, i, j)
                 np.testing.assert_array_equal(interpolate_many(grid, p[None])[0],
                                               grid.values[i, j])
 

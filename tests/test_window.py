@@ -9,10 +9,21 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         quat_from_rotation, sensor_world_poses)
 from magloc.window import (STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow,
-                           regressor, regressor_many, sensor_poses)
+                           regressor, sensor_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
+
+
+def assert_sensor_poses(w, j, rel_r, rel_p, rig, **tol):
+    """Row j of the window holds, for each sensor, the rotation
+    rel_r @ extR (stored transposed) and the offset rel_r @ extp + rel_p
+    of the entry's relative pose (rel_r, rel_p)."""
+    for i, ext in enumerate(rig):
+        np.testing.assert_allclose(w.rotations_t[j, i].T, rel_r @ ext.rotation,
+                                   **tol)
+        np.testing.assert_allclose(w.offsets[j, i],
+                                   rel_r @ ext.translation + rel_p, **tol)
 
 
 def frame_of(t, dr, dp, readings, gt=None):
@@ -66,30 +77,25 @@ class TestRegressor:
         rhs = a * (regressor(b1) @ theta - bias) + (regressor(b2) @ theta - bias)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_many(self, rng):
-        b = rng.normal(size=(4, 2, 3))
-        out = regressor_many(b)
-        for i in range(4):
-            for j in range(2):
-                assert np.array_equal(out[i, j], regressor(b[i, j]))
-
 
 class TestPush:
     def test_single_push_identity(self):
-        w = SlidingWindow(0.5, default_rig()[:1])
+        rig = default_rig()[:1]
+        w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
         assert len(w) == 1
-        np.testing.assert_array_equal(w.rel_rotations[0], np.eye(3))
-        np.testing.assert_array_equal(w.rel_translations[0], np.zeros(3))
+        np.testing.assert_array_equal(w.rotations_t[0, 0], rig[0].rotation.T)
+        np.testing.assert_array_equal(w.offsets[0, 0], rig[0].translation)
         assert w.traveled[0] == 0.0
 
     def test_two_pushes_pure_translation(self):
-        w = SlidingWindow(5.0, default_rig()[:1])
+        rig = default_rig()[:1]
+        w = SlidingWindow(5.0, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
         w.push(frame_of(0.1, np.eye(3), [1.0, 0, 0], np.zeros((1, 3))))
-        np.testing.assert_allclose(w.rel_translations[0], [-1.0, 0, 0],
-                                   atol=1e-12)
-        np.testing.assert_array_equal(w.rel_translations[1], np.zeros(3))
+        np.testing.assert_allclose(w.offsets[0, 0] - rig[0].translation,
+                                   [-1.0, 0, 0], atol=1e-12)
+        np.testing.assert_array_equal(w.offsets[1, 0], rig[0].translation)
 
     def test_matrix_chain_oracle(self, rng):
         # Five mixed increments: the stored backward poses must equal the
@@ -99,10 +105,11 @@ class TestPush:
             dr = exp_so3(rng.normal(size=3) * 0.3)
             dp = rng.normal(size=3) * 0.05
             increments.append((dr, dp))
-        w = SlidingWindow(100.0, default_rig()[:1])
-        w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
+        rig = default_rig()[:2]
+        w = SlidingWindow(100.0, rig)
+        w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((2, 3))))
         for k, (dr, dp) in enumerate(increments):
-            w.push(frame_of(0.1 * (k + 1), dr, dp, np.zeros((1, 3))))
+            w.push(frame_of(0.1 * (k + 1), dr, dp, np.zeros((2, 3))))
         k = len(increments)
         for j_entry in range(len(w)):
             # Literal product form (increments[m-1] is the step into frame m):
@@ -117,21 +124,20 @@ class TestPush:
                 dr_m, dp_m = increments[m - 1]
                 exp_p = exp_p - prefix @ dr_m.T @ dp_m
                 exp_r = prefix @ dr_m.T
-            np.testing.assert_allclose(w.rel_rotations[j_entry], exp_r, atol=1e-9)
-            np.testing.assert_allclose(w.rel_translations[j_entry], exp_p,
-                                       atol=1e-9)
+            assert_sensor_poses(w, j_entry, exp_r, exp_p, rig, atol=1e-9)
 
     def test_backward_pose_consistency(self, rng):
         # Composing the forward increment chain with the stored backward
-        # pose yields identity for every retained entry.
-        w = SlidingWindow(100.0, default_rig()[:1])
-        w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((1, 3))))
+        # sensor poses yields each entry's sensor world poses.
+        rig = default_rig()[:2]
+        w = SlidingWindow(100.0, rig)
+        w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((2, 3))))
         chain = [(np.eye(3), np.zeros(3))]
         for k in range(6):
             dr = exp_so3(rng.normal(size=3) * 0.2)
             dp = rng.normal(size=3) * 0.04
             chain.append((dr, dp))
-            w.push(frame_of(0.1 * (k + 1), dr, dp, np.zeros((1, 3))))
+            w.push(frame_of(0.1 * (k + 1), dr, dp, np.zeros((2, 3))))
         # Forward world pose of each frame (world = frame 0).
         world = []
         r, p = np.eye(3), np.zeros(3)
@@ -142,13 +148,17 @@ class TestPush:
         rk, pk = world[-1]
         for j in range(len(w)):
             rj, pj = world[j]
-            # world_j composed from world_k and the backward rel pose.
-            np.testing.assert_allclose(rk @ w.rel_rotations[j], rj, atol=1e-9)
-            np.testing.assert_allclose(
-                rk @ w.rel_translations[j] + pk, pj, atol=1e-9)
+            for i, ext in enumerate(rig):
+                # Sensor world pose of frame j composed from world_k and
+                # the backward sensor pose.
+                np.testing.assert_allclose(rk @ w.rotations_t[j, i].T,
+                                           rj @ ext.rotation, atol=1e-9)
+                np.testing.assert_allclose(rk @ w.offsets[j, i] + pk,
+                                           rj @ ext.translation + pj, atol=1e-9)
 
     def test_eviction_by_distance(self):
-        w = SlidingWindow(0.25, default_rig()[:1])
+        rig = default_rig()[:1]
+        w = SlidingWindow(0.25, rig)
         for k in range(6):
             w.push(frame_of(0.1 * k, np.eye(3), [0.1, 0, 0] if k else [0, 0, 0],
                             np.zeros((1, 3))))
@@ -157,15 +167,22 @@ class TestPush:
         assert dists[-1] == 0.0
         # horizon 0.25 at 0.1 m steps keeps distances {0.2, 0.1, 0}.
         np.testing.assert_allclose(dists, [0.2, 0.1, 0.0], atol=1e-12)
+        # The survivors are the last three frames, 0.2, 0.1 and 0 m behind.
+        assert len(w) == 3
+        for j, back in enumerate((0.2, 0.1, 0.0)):
+            assert_sensor_poses(w, j, np.eye(3), np.array([-back, 0.0, 0.0]),
+                                rig, atol=1e-12)
 
     def test_stationary_replacement(self, rng):
-        w = SlidingWindow(0.5, default_rig()[:1])
+        rig = default_rig()[:1]
+        w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.array([[1.0, 2, 3]])))
         w.push(frame_of(0.1, np.eye(3), [1e-6, 0, 0], np.array([[4.0, 5, 6]])))
         assert len(w) == 1
-        np.testing.assert_array_equal(w.regressors[0, 0],
-                                      regressor(np.array([4.0, 5, 6])))
+        np.testing.assert_array_equal(w.readings[0, 0], [4.0, 5, 6])
         assert w.timestamps[0] == 0.1
+        # The newest entry keeps the pose it was pushed with.
+        assert_sensor_poses(w, 0, np.eye(3), np.zeros(3), rig, rtol=0, atol=0)
 
     def test_non_monotone_rejected(self):
         w = SlidingWindow(0.5, default_rig()[:1])
@@ -230,27 +247,36 @@ class TestSensorPoses:
             np.testing.assert_allclose(rot[j], true_rot, atol=1e-9)
             np.testing.assert_allclose(pos[j], true_pos, atol=1e-9)
 
-    def test_snapshot_is_a_copy(self):
-        rig = default_rig()[:2]
-        w = SlidingWindow(0.5, rig)
+    def test_snapshot_is_read_only(self):
+        # A snapshot shares the window's arrays, so writing into one must
+        # fail rather than corrupt the window.
+        w = SlidingWindow(0.5, default_rig()[:2])
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.ones((2, 3))))
         snap = w.snapshot()
-        for name in ("regressors", "rel_ext_rotations", "body_offsets"):
-            getattr(snap, name)[...] = -99.0
-        np.testing.assert_array_equal(w.rel_rotations[0], np.eye(3))
-        np.testing.assert_array_equal(w.rel_translations[0], np.zeros(3))
-        np.testing.assert_array_equal(w.regressors[0],
-                                      regressor_many(np.ones((2, 3))))
-        np.testing.assert_array_equal(w.extrinsic_rotations,
-                                      np.stack([e.rotation for e in rig]))
-        np.testing.assert_array_equal(w.extrinsic_translations,
-                                      np.stack([e.translation for e in rig]))
-        # A standstill push rewrites the newest entry in place; the snapshot
-        # keeps the readings it was taken with.
+        for name in ("readings", "rotations_t", "offsets"):
+            with pytest.raises(ValueError):
+                getattr(snap, name)[...] = -99.0
+        for name in ("readings", "rotations_t", "offsets", "traveled",
+                     "timestamps"):
+            with pytest.raises(ValueError):
+                getattr(w, name)[...] = -99.0
+
+    def test_snapshot_survives_pushes(self):
+        # Moving and standstill pushes replace the window's arrays; a
+        # snapshot taken before keeps the entries it was taken with.
+        w = SlidingWindow(0.5, default_rig()[:2])
+        w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.ones((2, 3))))
+        w.push(frame_of(0.1, exp_so3(np.array([0.0, 0.0, 0.3])), [0.1, 0, 0],
+                        2 * np.ones((2, 3))))
         snap = w.snapshot()
-        w.push(frame_of(0.1, np.eye(3), [0, 0, 0], 2 * np.ones((2, 3))))
-        np.testing.assert_array_equal(snap.regressors[0],
-                                      regressor_many(np.ones((2, 3))))
+        before = [getattr(snap, name).copy()
+                  for name in ("readings", "rotations_t", "offsets")]
+        w.push(frame_of(0.2, exp_so3(np.array([0.0, 0.0, -0.2])), [0, 0.1, 0],
+                        3 * np.ones((2, 3))))
+        w.push(frame_of(0.3, np.eye(3), [0, 0, 0], 4 * np.ones((2, 3))))
+        assert len(w) == 3
+        for name, old in zip(("readings", "rotations_t", "offsets"), before):
+            np.testing.assert_array_equal(getattr(snap, name), old)
 
 
 def reference_window(frames, horizon_m):
@@ -311,28 +337,17 @@ class TestStackedWindowProperty:
 
         assert len(w) == len(ref)
         for j, (rel, readings, dist, t) in enumerate(ref):
-            np.testing.assert_allclose(w.rel_rotations[j], rel.rotation,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(w.rel_translations[j], rel.translation,
-                                       rtol=0, atol=1e-12)
-            for i in range(n_sensors):
-                np.testing.assert_array_equal(w.regressors[j, i],
-                                              regressor(readings[i]))
+            assert_sensor_poses(w, j, rel.rotation, rel.translation, rig,
+                                rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(w.readings[j], readings)
             assert abs(w.traveled[j] - dist) <= 1e-12
             assert w.timestamps[j] == t
         assert w.traveled[-1] == 0.0
         assert np.all(w.traveled <= horizon)
 
+        # The snapshot is the window's arrays, unchanged.
         snap = w.snapshot()
         assert len(snap) == len(ref)
-        for j, (rel, readings, _, _) in enumerate(ref):
-            for i, ext in enumerate(rig):
-                np.testing.assert_array_equal(snap.regressors[j, i],
-                                              regressor(readings[i]))
-                np.testing.assert_allclose(
-                    snap.rel_ext_rotations[j, i], rel.rotation @ ext.rotation,
-                    rtol=0, atol=1e-12)
-                np.testing.assert_allclose(
-                    snap.body_offsets[j, i],
-                    rel.rotation @ ext.translation + rel.translation,
-                    rtol=0, atol=1e-12)
+        assert snap.readings is w.readings
+        assert snap.rotations_t is w.rotations_t
+        assert snap.offsets is w.offsets

@@ -53,6 +53,12 @@ POSE_TOL_M = 1e-4
 POSE_TOL_RAD = 1e-4
 
 
+def _is_number(value) -> bool:
+    """A real number, not a bool: JSON true would otherwise pass as 1."""
+    return (not isinstance(value, bool)
+            and isinstance(value, (int, float, np.integer, np.floating)))
+
+
 @dataclass
 class SolverConfig:
     """Solver settings a scenario's `solver` section may set.
@@ -84,19 +90,17 @@ class SolverConfig:
         # meas_sigma defaults to the scenario's noise level, which is 0 for
         # a noiseless dataset, so 0 stays allowed.
         for name in ("window_m", "meas_sigma"):
-            if not getattr(self, name) >= 0.0:
+            value = getattr(self, name)
+            if not (_is_number(value) and value >= 0.0):
                 raise ConfigurationError(
-                    f"{name} must be >= 0, got {getattr(self, name)!r}")
+                    f"{name} must be a number >= 0, got {value!r}")
         # A truthy string such as "false" would turn calibration on.
         if not isinstance(self.calibrate, bool):
             raise ConfigurationError(
                 f"calibrate must be true or false, got {self.calibrate!r}")
         # NaN would disable the fallback: no norm compares above it.
         value = self.divergence_residual
-        if value is not None and (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not value >= 0.0):
+        if value is not None and not (_is_number(value) and value >= 0.0):
             raise ConfigurationError(
                 f"divergence_residual must be a number >= 0 or null, got {value!r}")
 

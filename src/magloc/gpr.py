@@ -29,8 +29,13 @@ Phi^T y, which is positive definite for any point set, so repeated
 positions need no special case.  Phi is never formed: every entry of
 Phi^T Phi is a sum of four moments sum_i cos(p theta_x,i) cos(q theta_y,i)
 (see `_normal_equations`), so the fingerprints enter through one
-(2 mx + 1, n) @ (n, 2 my + 1) product whatever their layout, and the
-largest arrays are the (2, m, m) system and (n, 2 mx + 1) tables.
+(2 mx + 1, n) @ (n, 2 my + 1) product whatever their layout.  Since
+w_a (u - u0) = a theta, each axis takes one pass over the data: a
+(2 m_axis + 1, n) complex table of the powers exp(i p theta), filled by
+repeated multiplication, whose real rows are the moment harmonics and
+whose rows 1 .. m_axis also give the features sin(a theta) and
+w_a cos(a theta) for Phi^T y.  These tables are freed before the
+(2, m, m) system, the largest array, is gathered from the moments.
 
 `predict_many` evaluates queries that span a lattice of at most as many
 points as themselves (the nodes of a grid) through separable per-axis
@@ -75,9 +80,12 @@ class KernelParams:
 
     def __post_init__(self):
         # noise_var > 0 keeps the regularized system of fit positive definite.
+        # A bool is refused: JSON true would otherwise pass as 1.
         for name in ("lengthscale", "signal_var", "noise_var"):
             value = getattr(self, name)
-            if not 0.0 < value < np.inf:
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not 0.0 < value < np.inf):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
@@ -153,6 +161,19 @@ def _pair_harmonics(w: np.ndarray):
     return sin, cos, where
 
 
+def _powers(u: np.ndarray, start: float, end: float, order: int):
+    """The (order + 1, len(u)) table of e^p, p = 0 .. order, where
+    e = exp(i theta) and theta = (u - start) pi / (end - start), filled by
+    in-place complex multiplies: cos(p theta) + i sin(p theta) from one
+    pass over the data."""
+    e = np.exp(1j * ((u - start) * (np.pi / (end - start))))
+    table = np.empty((order + 1, len(u)), dtype=complex)
+    table[0] = 1.0
+    for p in range(1, order + 1):
+        np.multiply(table[p - 1], e, out=table[p])
+    return table
+
+
 def _normal_equations(pos, y, lo, hi, wx, wy, keep):
     """Phi^T Phi, (2, m, m), and Phi^T y, (2, m), of the psi and Bz blocks
     over the kept frequency pairs, without the 1 / (Lx Ly) and
@@ -163,19 +184,30 @@ def _normal_equations(pos, y, lo, hi, wx, wy, keep):
     = (cx cx')(sy sy') + (sx sx')(cy cy').  Each part is a combination of
     harmonics (`_pair_harmonics`), so summed over the fingerprints every
     entry combines the moments M[p, q] = sum_i cos(p theta_x,i)
-    cos(q theta_y,i), one (2 mx + 1, n) @ (n, 2 my + 1) product.  No
-    n x m array is formed.
-    """
-    sin_x, cos_x = _axis_tables(pos[:, 0], lo[0], hi[0], wx)
-    sin_y, cos_y = _axis_tables(pos[:, 1], lo[1], hi[1], wy)
-    rhs = np.stack([-((cos_x * y[:, :1]).T @ sin_y + (sin_x * y[:, 1:2]).T @ cos_y),
-                    (sin_x * y[:, 2:]).T @ sin_y])[:, keep]
-    # Free the (n, m_axis) tables before the (n, 2 m_axis + 1) ones.
-    del sin_x, cos_x, sin_y, cos_y
+    cos(q theta_y,i), one (2 mx + 1, n) @ (n, 2 my + 1) product.
 
-    theta = (pos[:, :2] - lo) * (np.pi / (hi - lo))
-    moments = (np.cos(np.multiply.outer(theta[:, 0], np.arange(2 * len(wx) + 1))).T
-               @ np.cos(np.multiply.outer(theta[:, 1], np.arange(2 * len(wy) + 1))))
+    Each axis makes one pass over the data: since w_a (u - u0) = a theta,
+    one (2 m_axis + 1, n) table of e^p = exp(i p theta) (`_powers`) holds
+    the moment harmonics in its real rows and the features, sin(a theta)
+    in imaginary rows 1 .. m_axis and w_a cos(a theta) from the real ones.
+    The n-sized tables are freed before the (2, m, m) system is formed;
+    its kept pairs are gathered by one flat take.
+    """
+    mx, my = len(wx), len(wy)
+    px = _powers(pos[:, 0], lo[0], hi[0], 2 * mx)
+    py = _powers(pos[:, 1], lo[1], hi[1], 2 * my)
+    sin_x, sin_y = px.imag[1:mx + 1], py.imag[1:my + 1]
+    rhs = np.stack([-((px.real[1:mx + 1] * y[:, 0]) @ sin_y.T * wx[:, None]
+                      + (sin_x * y[:, 1]) @ py.real[1:my + 1].T * wy),
+                    (sin_x * y[:, 2]) @ sin_y.T])[:, keep]
+    # Keep only the real rows, one axis at a time, so that a complex table
+    # and its real copy live together for one axis at most.
+    del sin_x, sin_y
+    px = np.ascontiguousarray(px.real)
+    py = np.ascontiguousarray(py.real)
+    moments = px @ py.T
+    del px, py
+
     x_sin, x_cos, x_where = _pair_harmonics(wx)
     y_sin, y_cos, y_where = _pair_harmonics(wy)
     x_sin_m = x_sin @ moments
@@ -183,9 +215,10 @@ def _normal_equations(pos, y, lo, hi, wx, wy, keep):
                       x_sin_m @ y_sin.T])
     # Gather the kept pairs' entries through one flat index into pairs.
     ka, kb = np.nonzero(keep)
-    index = x_where[ka[:, None], ka] * len(y_sin)
-    index += y_where[kb[:, None], kb]
-    return pairs.reshape(2, -1)[:, index], rhs
+    index = x_where[ka].take(ka, axis=1)
+    index *= len(y_sin)
+    index += y_where[kb].take(kb, axis=1)
+    return pairs.reshape(2, -1).take(index, axis=1), rhs
 
 
 def fit(fingerprints, params: KernelParams) -> GprModel:

@@ -427,6 +427,8 @@ class TestPipeline:
         ({"divergence_residual": float("nan")}, [], "divergence_residual"),
         ({"divergence_residual": "10"}, [], "divergence_residual"),
         ({"divergence_residual": -1.0}, [], "divergence_residual"),
+        ({"window_m": "0.5"}, [], "window_m"),
+        ({"meas_sigma": True}, [], "meas_sigma"),
     ])
     def test_bad_solver_value_exit_2_before_any_write(self, tmp_path, capsys,
                                                       solver, flags, name):
@@ -439,7 +441,8 @@ class TestPipeline:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("key, value", [
-        ("noise_var", 0.0), ("noise_var", -0.04), ("lengthscale", 0.0)])
+        ("noise_var", 0.0), ("noise_var", -0.04), ("lengthscale", 0.0),
+        ("lengthscale", "1.0"), ("signal_var", True)])
     def test_bad_gpr_value_exit_2_before_any_write(self, tmp_path, capsys,
                                                    key, value):
         cfg = small_config()

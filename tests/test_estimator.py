@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from magloc import estimator
-from magloc.errors import DatasetSchemaError
+from magloc import estimator, scenario
+from magloc.errors import ConfigurationError, DatasetSchemaError
 from magloc.estimator import (RlsState, SolverConfig, alternate,
                               gauss_newton_step, rls_update, run, summary_dict)
 from magloc.geom import PoseState, exp_so3, log_so3, rot_z, skew
@@ -242,6 +242,23 @@ class TestSolverConfig:
         # bring the residual down to it: the fallback stays off.
         assert SolverConfig(meas_sigma=0.0).divergence_threshold(8, 3) == np.inf
         assert SolverConfig(calibrate=False).divergence_threshold(8, 3) == np.inf
+
+    @pytest.mark.parametrize("name", ["window_m", "meas_sigma"])
+    @pytest.mark.parametrize("value", ["0.5", True, False, None, [0.5]])
+    def test_non_number_names_its_key(self, name, value):
+        # A string used to fail the >= comparison with a TypeError that did
+        # not name the key, and a bool passed as 1 or 0.
+        cfg = scenario.reference_config()
+        cfg.solver = {name: value}
+        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+            scenario.solver_config(cfg)
+
+    @pytest.mark.parametrize("name", ["window_m", "meas_sigma"])
+    @pytest.mark.parametrize("value", [0, 2, 0.25, np.float32(0.5), np.int64(1)])
+    def test_numbers_accepted(self, name, value):
+        cfg = scenario.reference_config()
+        cfg.solver = {name: value}
+        assert getattr(scenario.solver_config(cfg), name) == value
 
 
 class TestPropagatePrior:
@@ -616,7 +633,6 @@ class TestRun:
             run([], grid, default_rig(), SolverConfig())
 
     def test_region_mismatch_rejected(self, rng):
-        from magloc.errors import ConfigurationError
         field, grid = dipole_world()
         poses = generate_trajectory([[1.0, 1.0], [3.0, 1.0]], 0.5, 10.0)
         rig = default_rig()

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import magloc
-from magloc import gpr
-from magloc.errors import DegenerateTrainingError
+from magloc import gpr, scenario
+from magloc.errors import ConfigurationError, DegenerateTrainingError
 from magloc.gpr import (Fingerprint, KernelParams, build_grid, fit,
                         predict_many, read_fingerprints_csv,
                         write_fingerprints_csv)
@@ -160,6 +160,25 @@ class TestKernelParams:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             make_params(**{name: value})
 
+    @pytest.mark.parametrize("name", ["lengthscale", "signal_var", "noise_var"])
+    @pytest.mark.parametrize("value", ["1.0", True, None, [1.0]])
+    def test_non_number_names_its_key(self, name, value):
+        # A string used to fail the comparison with a TypeError that did not
+        # name the key, and true passed as 1.0.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            make_params(**{name: value})
+
+    @pytest.mark.parametrize("value", ["1.0", True])
+    def test_scenario_section_raises_configuration_error(self, value):
+        cfg = scenario.reference_config()
+        cfg.gpr = {"lengthscale": value}
+        with pytest.raises(ConfigurationError, match="lengthscale must be positive"):
+            scenario.kernel_params(cfg)
+
+    @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(3)])
+    def test_numbers_accepted(self, value):
+        assert make_params(signal_var=value).signal_var == value
+
 
 class TestFit:
     def test_single_point_shrinkage(self):
@@ -255,6 +274,39 @@ class TestFit:
         fps = fingerprints(planar(rng, 10), np.zeros((10, 3)))
         with pytest.raises(DegenerateTrainingError, match="basis frequencies exceed"):
             fit(fps, make_params(lengthscale=0.05))
+
+
+class TestNormalEquations:
+    def test_power_recurrence_at_the_basis_cap(self, rng):
+        # The worst case of the e^p recurrence: a square box at the
+        # MAX_FREQUENCY_PAIRS cap, mx = my = 50, so the moment harmonics
+        # reach order 100, and points across the whole box, corners
+        # included, so theta spans [0, pi].  Oracle: Phi written out.
+        side = 50.5 * np.pi / gpr.OMEGA_CUTOFF
+        lo, hi = np.zeros(2), np.full(2, side)
+        wx, wy, keep = gpr._frequencies(lo, hi, 1.0)
+        assert len(wx) == len(wy) == 50
+        assert len(wx) * len(wy) == gpr.MAX_FREQUENCY_PAIRS
+        n = 400
+        pos = planar(rng, n, extent=side)
+        pos[:2, :2] = [lo, hi]
+        y = rng.normal(size=(n, 3))
+        a, rhs = gpr._normal_equations(pos, y, lo, hi, wx, wy, keep)
+
+        ka, kb = np.nonzero(keep)
+        ax, by = np.multiply.outer(pos[:, 0], wx[ka]), np.multiply.outer(pos[:, 1], wy[kb])
+        sx, cx = np.sin(ax), wx[ka] * np.cos(ax)
+        sy, cy = np.sin(by), wy[kb] * np.cos(by)
+        phi, dx, dy = sx * sy, cx * sy, sx * cy
+        expected_a = [dx.T @ dx + dy.T @ dy, phi.T @ phi]
+        expected_rhs = [-(dx.T @ y[:, 0] + dy.T @ y[:, 1]), phi.T @ y[:, 2]]
+        # Relative to each block's largest entry; about 1e-14 is measured.
+        rtol = 1e-12
+        for k in range(2):
+            scale = np.abs(expected_a[k]).max()
+            assert np.abs(a[k] - expected_a[k]).max() <= rtol * scale
+            scale = np.abs(expected_rhs[k]).max()
+            assert np.abs(rhs[k] - expected_rhs[k]).max() <= rtol * scale
 
 
 class TestPredict:

@@ -22,7 +22,7 @@ from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,
                   generate_trajectory, read_dataset, simulate_odometry,
                   write_dataset)
-from .window import SlidingWindow, regressor, sensor_poses
+from .window import SlidingWindow, sensor_poses
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
                         gauss_newton_step, rls_update, run)
 from .evaluate import TrajectoryPair, align_rigid, ate, calib_error, classify_frames

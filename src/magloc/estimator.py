@@ -5,11 +5,13 @@ about z; the pose step leaves the propagated height as it is.  Each frame
 is one alternation of two blocks.  First the pose (x, y, yaw) is refined
 over the accumulated window by damped Gauss-Newton with every sensor's
 affine calibration held fixed (`alternate`).  Then, with that pose held
-fixed, one (regressor, map-field) pair per sensor feeds a
+fixed, each sensor's raw reading b and body-frame map field g feed a
 recursive-least-squares filter (`run`).  With the pose fixed the
-calibration subproblem is linear, so the RLS update is its exact
-least-squares solution over every frame so far; it replaces the paper's
-per-frame stochastic-gradient calibration step and seeds the next frame.
+calibration subproblem is linear, and C b + bias reads the same z = (b, 1)
+in all three rows, so the filter keeps one 4x4 normal matrix per sensor
+(information form) and solves it on every update: the exact least-squares
+solution over every frame so far.  It replaces the paper's per-frame
+stochastic-gradient calibration step and seeds the next frame.
 
 The pose block evaluates the map once per iterate.  The calibrated
 readings C b + bias are fixed for the whole block and computed once.  Each
@@ -39,7 +41,7 @@ from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError
 from .geom import PoseState, boxplus, exp_so3, rot_z  # noqa: F401
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
 from .sim import DatasetFrame, identity_theta
-from .window import SlidingWindow, WindowSnapshot, regressor, sensor_poses
+from .window import SlidingWindow, WindowSnapshot, sensor_poses
 
 # Number of leading (x, y, yaw) coordinates each state mask solves for;
 # "xy" holds the yaw at the prior.
@@ -288,30 +290,40 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
 
 @dataclass
 class RlsState:
-    """Per-sensor recursive-least-squares accumulator.
+    """Recursive least squares in information form over z = (b, 1).
 
-    p_inv is the inverse of the accumulated normal matrix (prior
-    included), maintained through the 3x3 Woodbury update so no 12x12
-    inversion happens per step.
+    normal = eps I + sum z z^T and moments = eps theta0 + sum z g^T, whose
+    rows are those of C^T and then the bias; the three output rows share
+    the normal matrix.  theta = [rows of C, bias] solves normal X =
+    moments.  A state of N sensors holds (N, 4, 4), (N, 4, 3) and (N, 12)
+    arrays, and state[i] is sensor i's state as views of their rows.
     """
 
+    normal: np.ndarray
+    moments: np.ndarray
     theta: np.ndarray
-    p_inv: np.ndarray
 
     @staticmethod
-    def identity_init(eps: float = 1e-4) -> "RlsState":
-        return RlsState(identity_theta(), (1.0 / eps) * np.eye(12))
+    def identity_init(eps: float = 1e-4, n: int | None = None) -> "RlsState":
+        """Prior eps I around the identity calibration, for n sensors."""
+        shape = () if n is None else (n,)
+        # np.eye(4, 3) is theta0's moments: the identity C^T, zero bias.
+        return RlsState(np.tile(eps * np.eye(4), shape + (1, 1)),
+                        np.tile(eps * np.eye(4, 3), shape + (1, 1)),
+                        np.tile(identity_theta(), shape + (1,)))
+
+    def __getitem__(self, i: int) -> "RlsState":
+        return RlsState(self.normal[i], self.moments[i], self.theta[i])
 
 
-def rls_update(state: RlsState, h: np.ndarray, g: np.ndarray) -> RlsState:
-    """Ingest one (3x12 regressor, 3-vector target) block, in place."""
-    h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float)
-    pht = state.p_inv @ h.T  # (12, 3)
-    inner = np.eye(3) + h @ pht
-    gain = pht @ np.linalg.inv(inner)
-    state.theta = state.theta + gain @ (g - h @ state.theta)
-    state.p_inv = state.p_inv - gain @ pht.T
+def rls_update(state: RlsState, b: np.ndarray, g: np.ndarray) -> RlsState:
+    """Ingest one raw reading b and its body-frame map field g, in place."""
+    z = np.append(b, 1.0)
+    state.normal += np.outer(z, z)
+    state.moments += np.outer(z, g)
+    x = np.linalg.solve(state.normal, state.moments)
+    state.theta[:9] = x[:3].T.ravel()
+    state.theta[9:] = x[3]
     return state
 
 
@@ -325,6 +337,9 @@ class EstimatorOutput:
     alternations: np.ndarray  # (T,)
     residuals: np.ndarray  # (T,)
     frame_ms: np.ndarray  # (T,)
+    # (N, 4) final 1-sigma of (c_r0, c_r1, c_r2, b_r), shared by the three
+    # rows r of C and bias; None when calibration is off.
+    calib_sigma: np.ndarray | None
 
     @property
     def final_thetas(self) -> np.ndarray:
@@ -378,8 +393,8 @@ def run(frames, grid: MagneticGridMap, extrinsics,
     if n_sensors != len(extrinsics):
         raise ConfigurationError("rig size does not match dataset sensor count")
     window = SlidingWindow(config.window_m, extrinsics)
-    rls = [RlsState.identity_init() for _ in range(n_sensors)]
-    thetas = np.stack([identity_theta() for _ in range(n_sensors)])
+    rls = RlsState.identity_init(n=n_sensors)
+    thetas = rls.theta  # updated in place, one row per sensor
     x = frames[0].gt_pose()
 
     t_out, pos_out, ori_out, theta_out = [], [], [], []
@@ -406,8 +421,7 @@ def run(frames, grid: MagneticGridMap, extrinsics,
                     g = None  # sensors marginally outside: skip this update
             if g is not None:
                 for i in range(n_sensors):
-                    rls_update(rls[i], regressor(frame.readings[i]), g[i])
-            thetas = np.stack([s.theta for s in rls])
+                    rls_update(rls[i], frame.readings[i], g[i])
         ms_out.append((time.perf_counter() - tic) * 1e3)
         t_out.append(frame.t)
         pos_out.append(x.position.copy())
@@ -416,10 +430,14 @@ def run(frames, grid: MagneticGridMap, extrinsics,
         fb_out.append(fallback)
         alt_out.append(result.alternations)
         res_out.append(result.residual_norm)
+    calib_sigma = None
+    if config.calibrate:
+        calib_sigma = config.meas_sigma * np.sqrt(np.diagonal(
+            np.linalg.solve(rls.normal, np.eye(4)), axis1=1, axis2=2))
     return EstimatorOutput(
         np.array(t_out), np.stack(pos_out), np.stack(ori_out),
         np.stack(theta_out), np.array(fb_out, dtype=bool),
-        np.array(alt_out), np.array(res_out), np.array(ms_out))
+        np.array(alt_out), np.array(res_out), np.array(ms_out), calib_sigma)
 
 
 def write_trajectory_csv(output: EstimatorOutput, path) -> None:
@@ -455,5 +473,8 @@ def summary_dict(output: EstimatorOutput) -> dict:
         "n_sensors": int(output.thetas.shape[1]),
         "final_thetas": [[float(v) for v in row] for row in output.final_thetas],
         "fallback_frames": int(output.fallbacks.sum()),
+        "calib_sigma": (None if output.calib_sigma is None
+                        else [[float(v) for v in row]
+                              for row in output.calib_sigma]),
         "mean_frame_ms": float(output.frame_ms.mean()),
     }

@@ -19,7 +19,7 @@ from .gpr import KernelParams
 from .magmap import DipoleSource, FieldModel
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
                   default_rig, generate_trajectory, sample_distortions)
-from .estimator import SolverConfig
+from .estimator import SolverConfig, _is_number
 
 
 @dataclass
@@ -52,13 +52,22 @@ class FingerprintConfig:
         self.check()
 
     def check(self) -> None:
-        """Both spacings must be positive: the coverage path steps by
-        line_spacing and the samples by sample_spacing."""
+        """Every value must be a number.  Both spacings must be positive:
+        the coverage path steps by line_spacing and the samples by
+        sample_spacing."""
+        for key in ("line_spacing", "sample_spacing", "margin", "noise_sigma"):
+            value = getattr(self, key)
+            if not _is_number(value):
+                raise ConfigurationError(
+                    f"fingerprints.{key} must be a number, got {value!r}")
         for key in ("line_spacing", "sample_spacing"):
             value = getattr(self, key)
             if not value > 0.0:
                 raise ConfigurationError(
                     f"fingerprints.{key} must be positive, got {value!r}")
+        if not self.noise_sigma >= 0.0:
+            raise ConfigurationError(
+                f"fingerprints.noise_sigma must be >= 0, got {self.noise_sigma!r}")
 
 
 @dataclass
@@ -90,8 +99,13 @@ class ScenarioConfig:
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
         try:
+            seed = data["seed"]
+            # int() would turn 7.9, true or "7" into a world not asked for.
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise ConfigurationError(
+                    f"seed must be an integer >= 0, got {seed!r}")
             return ScenarioConfig(
-                seed=int(data["seed"]),
+                seed=seed,
                 world=WorldConfig(**data["world"]),
                 trajectory=TrajectoryConfig(**data["trajectory"]),
                 fingerprints=FingerprintConfig(**data.get("fingerprints", {})),

@@ -26,21 +26,6 @@ STATIONARY_TRANS = 1e-4
 STATIONARY_ROT = 1e-4
 
 
-def regressor(b: np.ndarray) -> np.ndarray:
-    """3x12 linear-regression matrix of the affine sensor model.
-
-    Row r carries the reading transposed in columns 3r..3r+2 and a 1 in
-    column 9+r, so regressor(B) @ theta == C @ B + b for theta = [rows
-    of C, b].
-    """
-    b = np.asarray(b, dtype=float)
-    h = np.zeros((3, 12))
-    for r in range(3):
-        h[r, 3 * r:3 * r + 3] = b
-        h[r, 9 + r] = 1.0
-    return h
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

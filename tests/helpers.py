@@ -3,12 +3,29 @@
 The finite-difference and residual checks compare one sensor's stacked
 residual and Jacobian; these helpers slice them out of the production
 `_fields_at` and `_jacobian_all`, which evaluate every (entry, sensor)
-pair at once.
+pair at once.  The RLS batch oracles build the dense 12-parameter problem
+from `regressor`, apart from the estimator's 4x4 information form.
 """
 
 import numpy as np
 
 from magloc.estimator import _fields_at, _jacobian_all
+from magloc.sim import identity_theta
+
+
+def regressor(b) -> np.ndarray:
+    """3x12 matrix of the affine sensor model: regressor(b) @ theta ==
+    C @ b + bias for theta = [rows of C, bias]."""
+    return np.hstack([np.kron(np.eye(3), np.reshape(b, (1, 3))), np.eye(3)])
+
+
+def rls_batch(bs, gs, eps: float) -> np.ndarray:
+    """Dense solve of the prior-regularized 12-parameter least squares
+    over readings bs and fields gs, around the identity calibration."""
+    hs = [regressor(b) for b in bs]
+    normal = eps * np.eye(12) + sum(h.T @ h for h in hs)
+    rhs = eps * identity_theta() + sum(h.T @ g for h, g in zip(hs, gs))
+    return np.linalg.solve(normal, rhs)
 
 
 def pose_residual(window, theta, x, grid, sensor: int) -> np.ndarray:

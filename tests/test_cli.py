@@ -244,6 +244,7 @@ class TestRunAndEval:
         summary = json.loads((out / "run_summary.json").read_text())
         assert report["fallback_frames"] == summary["fallback_frames"]
         assert report["fallback_rate"] == summary["fallback_frames"] / len(frames)
+        assert np.shape(summary["calib_sigma"]) == (len(frames[0].readings), 4)
 
     def test_region_mismatch_exit_code(self, tmp_path, workdir):
         config_path, out = workdir
@@ -471,6 +472,41 @@ class TestPipeline:
         out = tmp_path / "p"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("line_spacing", "0.5", "fingerprints.line_spacing must be a number"),
+        ("sample_spacing", True, "fingerprints.sample_spacing must be a number"),
+        ("margin", "1.0", "fingerprints.margin must be a number"),
+        ("noise_sigma", None, "fingerprints.noise_sigma must be a number"),
+        ("noise_sigma", -0.2, "fingerprints.noise_sigma must be >= 0")])
+    def test_bad_fingerprint_value_exit_2_before_any_write(
+            self, tmp_path, capsys, key, value, message):
+        # A string once failed only at the comparison, with a message that
+        # named no key, and true passed as 1.0.
+        data = small_config().to_dict()
+        data["fingerprints"][key] = value
+        with pytest.raises(ConfigurationError, match=message):
+            scenario.ScenarioConfig.from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("seed", [7.9, True, "7", -1])
+    def test_non_integer_seed_exit_2(self, tmp_path, capsys, seed):
+        # int() would run seed 7 or 1, a world the user did not ask for.
+        data = small_config().to_dict()
+        data["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed must be an integer"):
+            scenario.ScenarioConfig.from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        assert "seed must be an integer" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_ate_of_estimated_frames(self, tmp_path):

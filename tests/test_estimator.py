@@ -13,9 +13,9 @@ from magloc.magmap import (MagneticGridMap, DipoleSource, FieldModel,
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         identity_theta, quat_from_rotation, sample_distortions)
-from magloc.window import SlidingWindow, regressor, sensor_poses
+from magloc.window import SlidingWindow, sensor_poses
 
-from helpers import pose_jacobian, pose_residual
+from helpers import pose_jacobian, pose_residual, regressor, rls_batch
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -512,40 +512,66 @@ class TestAlternate:
 
 class TestRls:
     def test_zero_innovation(self, rng):
+        # A reading the current calibration already explains leaves it
+        # unchanged.  Twenty readings first pin all four parameters: from
+        # the bare eps prior the solve scales the rounding of z z^T by
+        # up to |z|^2 / eps, about 1e-9 here.
         state = RlsState.identity_init()
-        h = regressor(rng.normal(size=3) * 30)
-        g = h @ state.theta
+        for _ in range(20):
+            rls_update(state, rng.normal(size=3) * 30, rng.normal(size=3) * 30)
+        b = rng.normal(size=3) * 30
+        c, bias = state.theta[:9].reshape(3, 3), state.theta[9:]
         theta_before = state.theta.copy()
-        rls_update(state, h, g)
+        rls_update(state, b, c @ b + bias)
         np.testing.assert_allclose(state.theta, theta_before, atol=1e-12)
 
-    def test_batch_equivalence(self, rng):
-        # Independent dense solve of the full prior-regularized problem.
+    def test_batch_equivalence(self):
+        # Independent dense solve of the full prior-regularized problem,
+        # over many draws at criterion 1's scale.
         eps = 1e-4
-        state = RlsState.identity_init(eps)
-        theta0 = state.theta.copy()
-        hs, gs = [], []
-        for _ in range(50):
-            h = regressor(rng.normal(size=3) * 20)
-            g = rng.normal(size=3) * 30
-            hs.append(h)
-            gs.append(g)
-            rls_update(state, h, g)
-        p = eps * np.eye(12) + sum(h.T @ h for h in hs)
-        b = eps * theta0 + sum(h.T @ g for h, g in zip(hs, gs))
-        batch = np.linalg.solve(p, b)
-        assert np.abs(state.theta - batch).max() < 1e-8
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            state = RlsState.identity_init(eps)
+            bs, gs = [], []
+            for _ in range(50):
+                bs.append(rng.normal(size=3) * 25)
+                gs.append(rng.normal(size=3) * 30)
+                rls_update(state, bs[-1], gs[-1])
+            assert np.abs(state.theta - rls_batch(bs, gs, eps)).max() < 1e-8
 
     def test_p_accumulation(self, rng):
         eps = 1e-4
         state = RlsState.identity_init(eps)
-        hs = [regressor(rng.normal(size=3) * 10) for _ in range(20)]
-        for h in hs:
-            rls_update(state, h, rng.normal(size=3))
-        expected = eps * np.eye(12) + sum(h.T @ h for h in hs)
-        # The maintained inverse tracks the accumulated normal matrix.
-        np.testing.assert_allclose(expected @ state.p_inv, np.eye(12),
-                                   atol=1e-7)
+        bs = [rng.normal(size=3) * 10 for _ in range(20)]
+        for b in bs:
+            rls_update(state, b, rng.normal(size=3))
+        zs = [np.append(b, 1.0) for b in bs]
+        expected = eps * np.eye(4) + sum(np.outer(z, z) for z in zs)
+        np.testing.assert_allclose(state.normal, expected, rtol=1e-12)
+
+    def test_oracle_regressor_is_affine_model(self, rng):
+        # The batch oracle's regressor uses the estimator's theta layout.
+        np.testing.assert_array_equal(regressor(np.zeros(3)),
+                                      np.hstack([np.zeros((3, 9)), np.eye(3)]))
+        for _ in range(20):
+            b = rng.normal(size=3) * 40
+            c = rng.normal(size=(3, 3))
+            bias = rng.normal(size=3) * 10
+            theta = np.concatenate([c.ravel(), bias])
+            np.testing.assert_allclose(regressor(b) @ theta, c @ b + bias,
+                                       atol=1e-10)
+
+    def test_stacked_rows_are_sensor_states(self, rng):
+        # state[i] writes through to row i of the stacked arrays.
+        stacked = RlsState.identity_init(n=3)
+        single = RlsState.identity_init()
+        b, g = rng.normal(size=3) * 20, rng.normal(size=3) * 20
+        rls_update(stacked[1], b, g)
+        rls_update(single, b, g)
+        np.testing.assert_array_equal(stacked.theta[1], single.theta)
+        np.testing.assert_array_equal(stacked.normal[1], single.normal)
+        np.testing.assert_array_equal(stacked.theta[[0, 2]],
+                                      np.tile(identity_theta(), (2, 1)))
 
 
 def dipole_world():
@@ -626,6 +652,36 @@ class TestRun:
         assert np.array_equal(out1.positions, out2.positions)
         assert np.array_equal(out1.thetas, out2.thetas)
         assert np.array_equal(out1.residuals, out2.residuals)
+
+    def test_calib_sigma_closed_form(self, rng):
+        # Every frame updates the filter, so the final normal matrix is
+        # eps I + sum z z^T over the readings, and calib_sigma is
+        # meas_sigma sqrt(diag(inv(normal))); more frames never raise it.
+        c = np.array([20.0, 5.0, -40.0])
+        a, grid = affine_grid(rng.normal(size=(3, 3)) * 5.0, c,
+                              resolution=0.1, nx=61, ny=51)
+        poses = generate_trajectory([[1.0, 1.0], [3.0, 1.0], [3.0, 2.0]],
+                                    0.5, 10.0)
+        rig = default_rig()
+        frames = affine_frames(a, c, poses, rig,
+                               [CalibrationParams.identity() for _ in rig])
+        sigmas = []
+        for k in (5, 20, len(frames)):
+            out = run(frames[:k], grid, rig, SolverConfig(meas_sigma=0.2))
+            assert not out.fallbacks.any()
+            readings = np.stack([f.readings for f in frames[:k]])
+            zs = np.concatenate([readings, np.ones(readings.shape[:2] + (1,))],
+                                axis=2)
+            normal = 1e-4 * np.eye(4) + np.einsum("kna,knb->nab", zs, zs)
+            expected = 0.2 * np.sqrt(np.diagonal(np.linalg.inv(normal),
+                                                 axis1=1, axis2=2))
+            np.testing.assert_allclose(out.calib_sigma, expected, rtol=1e-6)
+            sigmas.append(out.calib_sigma)
+        assert np.all(np.diff(sigmas, axis=0) <= 0.0)
+        assert summary_dict(out)["calib_sigma"] == out.calib_sigma.tolist()
+        off = run(frames, grid, rig, SolverConfig(calibrate=False))
+        assert off.calib_sigma is None
+        assert summary_dict(off)["calib_sigma"] is None
 
     def test_empty_dataset_rejected(self):
         _, grid = dipole_world()

@@ -186,8 +186,8 @@ class TestReadings:
                                    atol=1e-10)
 
     def test_regressor_form_round_trip(self, rng):
-        # h(reading) @ theta_true equals the body-frame ambient field.
-        from magloc.window import regressor
+        # C b + bias of the true calibration equals the body-frame
+        # ambient field.
         field = simple_field()
         poses = turning_path()
         rig = default_rig()
@@ -196,7 +196,7 @@ class TestReadings:
         expected = per_frame_readings(field, poses, rig)
         for frame, fields in zip(frames, expected):
             for i, calib in enumerate(calibs):
-                lhs = regressor(frame.readings[i]) @ calib.theta()
+                lhs = calib.c @ frame.readings[i] + calib.b
                 np.testing.assert_allclose(lhs, fields[i], atol=1e-9)
 
     def test_rotated_rig_matches_per_frame_reference(self, rng):

@@ -9,7 +9,7 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         quat_from_rotation, sensor_world_poses)
 from magloc.window import (STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow,
-                           regressor, sensor_poses)
+                           sensor_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -32,50 +32,6 @@ def frame_of(t, dr, dp, readings, gt=None):
                         odom_dp=np.asarray(dp, float),
                         readings=np.atleast_2d(readings),
                         gt_p=gt.position, gt_q=quat_from_rotation(gt.rotation()))
-
-
-class TestRegressor:
-    def test_zero_reading(self):
-        h = regressor(np.zeros(3))
-        expected = np.zeros((3, 12))
-        expected[0, 9] = expected[1, 10] = expected[2, 11] = 1.0
-        assert np.array_equal(h, expected)
-
-    def test_block_pattern(self, rng):
-        b = rng.normal(size=3)
-        h = regressor(b)
-        for r in range(3):
-            np.testing.assert_array_equal(h[r, 3 * r:3 * r + 3], b)
-            assert h[r, 9 + r] == 1.0
-        # Everything else is zero.
-        mask = np.zeros((3, 12), dtype=bool)
-        for r in range(3):
-            mask[r, 3 * r:3 * r + 3] = True
-            mask[r, 9 + r] = True
-        assert np.all(h[~mask] == 0.0)
-
-    def test_identity_theta(self, rng):
-        from magloc.sim import identity_theta
-        b = rng.normal(size=3)
-        np.testing.assert_allclose(regressor(b) @ identity_theta(), b, atol=1e-14)
-
-    def test_matches_direct_affine(self, rng):
-        for _ in range(20):
-            b = rng.normal(size=3) * 40
-            c = rng.normal(size=(3, 3))
-            bias = rng.normal(size=3) * 10
-            theta = np.concatenate([c.ravel(), bias])
-            np.testing.assert_allclose(regressor(b) @ theta, c @ b + bias,
-                                       atol=1e-10)
-
-    def test_linearity_in_reading(self, rng):
-        theta = rng.normal(size=12)
-        bias = theta[9:]
-        b1, b2 = rng.normal(size=3), rng.normal(size=3)
-        a = 1.7
-        lhs = regressor(a * b1 + b2) @ theta - bias
-        rhs = a * (regressor(b1) @ theta - bias) + (regressor(b2) @ theta - bias)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 class TestPush:

@@ -15,7 +15,7 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         identity_theta, quat_from_rotation, sample_distortions)
 from magloc.window import SlidingWindow, sensor_poses
 
-from helpers import pose_jacobian, pose_residual, regressor, rls_batch
+from helpers import pose_jacobian, pose_residual, rls_batch
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -548,18 +548,6 @@ class TestRls:
         zs = [np.append(b, 1.0) for b in bs]
         expected = eps * np.eye(4) + sum(np.outer(z, z) for z in zs)
         np.testing.assert_allclose(state.normal, expected, rtol=1e-12)
-
-    def test_oracle_regressor_is_affine_model(self, rng):
-        # The batch oracle's regressor uses the estimator's theta layout.
-        np.testing.assert_array_equal(regressor(np.zeros(3)),
-                                      np.hstack([np.zeros((3, 9)), np.eye(3)]))
-        for _ in range(20):
-            b = rng.normal(size=3) * 40
-            c = rng.normal(size=(3, 3))
-            bias = rng.normal(size=3) * 10
-            theta = np.concatenate([c.ravel(), bias])
-            np.testing.assert_allclose(regressor(b) @ theta, c @ b + bias,
-                                       atol=1e-10)
 
     def test_stacked_rows_are_sensor_states(self, rng):
         # state[i] writes through to row i of the stacked arrays.

@@ -11,6 +11,8 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
 from magloc.window import (STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow,
                            sensor_poses)
 
+from helpers import regressor
+
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
 
@@ -32,6 +34,26 @@ def frame_of(t, dr, dp, readings, gt=None):
                         odom_dp=np.asarray(dp, float),
                         readings=np.atleast_2d(readings),
                         gt_p=gt.position, gt_q=quat_from_rotation(gt.rotation()))
+
+
+class TestRegressor:
+    """The batch oracle's regressor uses the estimator's theta layout:
+    theta = [rows of C, bias] and window readings b map to C b + bias."""
+
+    def test_zero_reading(self):
+        h = regressor(np.zeros(3))
+        expected = np.zeros((3, 12))
+        expected[0, 9] = expected[1, 10] = expected[2, 11] = 1.0
+        assert np.array_equal(h, expected)
+
+    def test_matches_direct_affine(self, rng):
+        for _ in range(20):
+            b = rng.normal(size=3) * 40
+            c = rng.normal(size=(3, 3))
+            bias = rng.normal(size=3) * 10
+            theta = np.concatenate([c.ravel(), bias])
+            np.testing.assert_allclose(regressor(b) @ theta, c @ b + bias,
+                                       atol=1e-10)
 
 
 class TestPush:

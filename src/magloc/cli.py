@@ -2,7 +2,10 @@
 building, online estimation, and evaluation.
 
 Every subcommand validates its inputs before creating any output file and
-materializes the configuration it ran with into the output directory.
+materializes the configuration it ran with into the output directory.  The
+scenario is checked whole when it is loaded, the `--seed` override through
+the same number rule, so only the run flags are left to check before the
+first write.
 Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error.
 """
 
@@ -14,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimator, evaluate, gpr, magmap, scenario, sim
-from .errors import AlignmentError, ConfigurationError
+from .errors import AlignmentError, ConfigurationError, check_number
 from .sim import CalibrationParams
 
 MAP_TRUE = "map_true.mag"
@@ -36,11 +39,12 @@ def _write_json(data: dict, path) -> None:
 
 
 def _load_scenario(args) -> scenario.ScenarioConfig:
-    if args.config:
-        config = scenario.load_config(args.config)
-    else:
-        config = scenario.reference_config(args.seed if args.seed is not None else 7)
-    if args.seed is not None and args.config:
+    if args.seed is not None:
+        check_number("--seed", args.seed, integer=True, at_least=0)
+    if not args.config:
+        return scenario.reference_config(args.seed if args.seed is not None else 7)
+    config = scenario.load_config(args.config)
+    if args.seed is not None:
         config.seed = args.seed
     return config
 
@@ -63,25 +67,13 @@ def cmd_gen_world(args) -> int:
     return 0
 
 
-def _trajectory(config) -> list:
-    """Poses of the trajectory section, whose waypoints must lie on the map."""
-    spec = scenario.grid_spec(config)
-    extent_x = spec["origin"][0] + (spec["nx"] - 1) * spec["resolution"]
-    extent_y = spec["origin"][1] + (spec["ny"] - 1) * spec["resolution"]
-    for w in config.trajectory.waypoints:
-        if not (spec["origin"][0] <= w[0] <= extent_x
-                and spec["origin"][1] <= w[1] <= extent_y):
-            raise ConfigurationError(f"waypoint {w} outside the mapped region")
-    return sim.generate_trajectory(config.trajectory.waypoints,
-                                   config.trajectory.speed,
-                                   config.trajectory.frame_rate,
-                                   config.trajectory.height)
-
-
 def cmd_gen_dataset(args) -> int:
     config = _load_scenario(args)
     model = scenario.field_model(config)
-    poses = _trajectory(config)
+    poses = sim.generate_trajectory(config.trajectory.waypoints,
+                                    config.trajectory.speed,
+                                    config.trajectory.frame_rate,
+                                    config.trajectory.height)
     rig = scenario.rig(config)
     calibs = scenario.true_calibrations(config)
     noise = scenario.noise_config(config)
@@ -224,16 +216,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # Each step reads its scenario sections only after the steps before it
-    # have written files; resolve every section before the first write.
-    config = _load_scenario(args)
-    scenario.field_model(config)
-    _trajectory(config)
-    scenario.fingerprint_positions(config)
-    scenario.true_calibrations(config)
-    scenario.noise_config(config)
-    scenario.kernel_params(config)
-    _solver_from_args(config, args)
+    # Loading checks the scenario; the run flags reach the solver only after
+    # the steps before it have written files, so check them first.
+    _solver_from_args(_load_scenario(args), args)
     out = _out_dir(args)
     args.out = str(out)
     cmd_gen_world(args)

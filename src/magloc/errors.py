@@ -1,8 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule every
+configuration number is checked by."""
+
+import numbers
 
 
 class ConfigurationError(ValueError):
     """Invalid scenario, rig, world, or solver configuration."""
+
+
+def check_number(name: str, value, *, integer: bool = False, above=None,
+                 at_least=None, allow_inf: bool = False) -> None:
+    """Raise ConfigurationError naming `name` unless `value` is a real
+    number, not a bool (JSON true would pass as 1) and not NaN: an integer
+    if `integer`, finite unless `allow_inf`, `> above` and `>= at_least`."""
+    if not (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool) and value == value
+            and (allow_inf or abs(value) < float("inf"))
+            and (above is None or value > above)
+            and (at_least is None or value >= at_least)):
+        kind = "an integer" if integer else "a number" if allow_inf else "a finite number"
+        bound = (f" > {above}" if above is not None else
+                 f" >= {at_least}" if at_least is not None else "")
+        raise ConfigurationError(f"{name} must be {kind}{bound}, got {value!r}")
 
 
 class OutOfMapError(Exception):

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError
+from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError, check_number
 # The planar solver calls neither boxplus nor exp_so3; the names stay bound
 # for tools that patch this module's names to trace it.
 from .geom import PoseState, boxplus, exp_so3, rot_z  # noqa: F401
@@ -53,12 +53,6 @@ GN_DAMPING = 1e-6
 # The pose block ends at the first accepted step under both tolerances.
 POSE_TOL_M = 1e-4
 POSE_TOL_RAD = 1e-4
-
-
-def _is_number(value) -> bool:
-    """A real number, not a bool: JSON true would otherwise pass as 1."""
-    return (not isinstance(value, bool)
-            and isinstance(value, (int, float, np.integer, np.floating)))
 
 
 @dataclass
@@ -82,29 +76,22 @@ class SolverConfig:
         if not (isinstance(self.state_mask, str)
                 and self.state_mask in STATE_MASKS):
             raise ConfigurationError(
-                f"state_mask must be 'xy' or 'xyyaw', got {self.state_mask!r}")
-        # Written as "not (ok)" so that NaN fails too.
-        value = self.max_alternations
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or not value >= 1):
-            raise ConfigurationError(
-                f"max_alternations must be an integer >= 1, got {value!r}")
+                f"solver.state_mask must be 'xy' or 'xyyaw', got {self.state_mask!r}")
+        check_number("solver.max_alternations", self.max_alternations,
+                     integer=True, at_least=1)
         # meas_sigma defaults to the scenario's noise level, which is 0 for
         # a noiseless dataset, so 0 stays allowed.
-        for name in ("window_m", "meas_sigma"):
-            value = getattr(self, name)
-            if not (_is_number(value) and value >= 0.0):
-                raise ConfigurationError(
-                    f"{name} must be a number >= 0, got {value!r}")
+        check_number("solver.window_m", self.window_m, at_least=0)
+        check_number("solver.meas_sigma", self.meas_sigma, at_least=0)
         # A truthy string such as "false" would turn calibration on.
         if not isinstance(self.calibrate, bool):
             raise ConfigurationError(
-                f"calibrate must be true or false, got {self.calibrate!r}")
-        # NaN would disable the fallback: no norm compares above it.
-        value = self.divergence_residual
-        if value is not None and not (_is_number(value) and value >= 0.0):
-            raise ConfigurationError(
-                f"divergence_residual must be a number >= 0 or null, got {value!r}")
+                f"solver.calibrate must be true or false, got {self.calibrate!r}")
+        # inf turns the fallback off; NaN would too, as no norm compares
+        # above it, so it is refused.
+        if self.divergence_residual is not None:
+            check_number("solver.divergence_residual", self.divergence_residual,
+                         at_least=0, allow_inf=True)
 
     def divergence_threshold(self, n_sensors: int, window_len: int) -> float:
         if self.divergence_residual is not None:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateTrainingError
+from .errors import DegenerateTrainingError, check_number
 from .magmap import MagneticGridMap
 
 PAD_M = 2.0  # padding of the fingerprints' bounding box, m
@@ -80,13 +80,8 @@ class KernelParams:
 
     def __post_init__(self):
         # noise_var > 0 keeps the regularized system of fit positive definite.
-        # A bool is refused: JSON true would otherwise pass as 1.
         for name in ("lengthscale", "signal_var", "noise_var"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not 0.0 < value < np.inf):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            check_number(f"gpr.{name}", getattr(self, name), above=0)
 
 
 @dataclass

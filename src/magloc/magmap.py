@@ -227,6 +227,9 @@ def load_map(path) -> MagneticGridMap:
                            header):
         if not np.isfinite(value) or (name == "resolution" and not value > 0.0):
             raise MapFormatError(f"header field {name} is {value}")
+    for name, value in (("nx", nx), ("ny", ny)):
+        if value < 2:
+            raise MapFormatError(f"header field {name} is {value}, below 2")
     payload = blob[header_len:]
     expected = nx * ny * 3 * 8
     if len(payload) != expected:

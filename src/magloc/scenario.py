@@ -2,24 +2,47 @@
 
 A scenario file is a single JSON document; every command materializes the
 resolved configuration it ran with into its output directory so runs are
-self-describing.  Seeds feed numpy's PCG64 generator through
-SeedSequence children (0: world sampling, 1: distortions, 2: dataset
-noise, 3: fingerprint noise), which keeps datasets reproducible across
-platforms.
+self-describing.  A scenario is checked whole when it is loaded
+(`ScenarioConfig.from_dict`): every number through `errors.check_number`,
+every list for its length, and the rules between sections, so a bad value
+exits 2 naming its key before any command writes a file.  Seeds feed
+numpy's PCG64 generator through SeedSequence children (0: world sampling,
+1: distortions, 2: dataset noise, 3: fingerprint noise), which keeps
+datasets reproducible across platforms.
 """
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .geom import exp_so3
 from .gpr import KernelParams
 from .magmap import DipoleSource, FieldModel
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
                   default_rig, generate_trajectory, sample_distortions)
-from .estimator import SolverConfig, _is_number
+from .estimator import SolverConfig
+
+def _check_vector(name: str, value, n: int) -> None:
+    """A list of exactly n finite numbers."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n):
+        raise ConfigurationError(
+            f"{name} must be a list of {n} numbers, got {value!r}")
+    for k, v in enumerate(value):
+        check_number(f"{name}[{k}]", v)
+
+
+def _check_entries(name: str, entries, keys: tuple) -> None:
+    """A list of objects, each holding a 3-vector under every key."""
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"{name} must be a list, got {entries!r}")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigurationError(
+                f"{name}[{k}] must be an object, got {entry!r}")
+        for key in keys:
+            _check_vector(f"{name}[{k}].{key}", entry.get(key), 3)
 
 
 @dataclass
@@ -32,6 +55,24 @@ class WorldConfig:
     ny: int
     plane_height: float = 0.0
 
+    def __post_init__(self):
+        _check_vector("world.earth_field", self.earth_field, 3)
+        norm = float(np.linalg.norm(self.earth_field))
+        if not 10.0 <= norm <= 100.0:
+            raise ConfigurationError(f"world.earth_field norm {norm:.1f} uT is outside "
+                                     "the plausible 10-100 range")
+        _check_entries("world.dipoles", self.dipoles, ("position", "moment"))
+        _check_vector("world.origin", self.origin, 2)
+        check_number("world.resolution", self.resolution, above=0)
+        check_number("world.nx", self.nx, integer=True, at_least=2)
+        check_number("world.ny", self.ny, integer=True, at_least=2)
+        check_number("world.plane_height", self.plane_height)
+
+    def extent(self) -> tuple:
+        """(xmin, xmax, ymin, ymax) of the mapped rectangle."""
+        return (self.origin[0], self.origin[0] + (self.nx - 1) * self.resolution,
+                self.origin[1], self.origin[1] + (self.ny - 1) * self.resolution)
+
 
 @dataclass
 class TrajectoryConfig:
@@ -39,6 +80,16 @@ class TrajectoryConfig:
     speed: float = 0.5
     frame_rate: float = 10.0
     height: float = 0.0
+
+    def __post_init__(self):
+        if not isinstance(self.waypoints, list):
+            raise ConfigurationError(
+                f"trajectory.waypoints must be a list, got {self.waypoints!r}")
+        for k, w in enumerate(self.waypoints):
+            _check_vector(f"trajectory.waypoints[{k}]", w, 2)
+        check_number("trajectory.speed", self.speed, above=0)
+        check_number("trajectory.frame_rate", self.frame_rate, above=0)
+        check_number("trajectory.height", self.height)
 
 
 @dataclass
@@ -52,22 +103,12 @@ class FingerprintConfig:
         self.check()
 
     def check(self) -> None:
-        """Every value must be a number.  Both spacings must be positive:
-        the coverage path steps by line_spacing and the samples by
-        sample_spacing."""
-        for key in ("line_spacing", "sample_spacing", "margin", "noise_sigma"):
-            value = getattr(self, key)
-            if not _is_number(value):
-                raise ConfigurationError(
-                    f"fingerprints.{key} must be a number, got {value!r}")
-        for key in ("line_spacing", "sample_spacing"):
-            value = getattr(self, key)
-            if not value > 0.0:
-                raise ConfigurationError(
-                    f"fingerprints.{key} must be positive, got {value!r}")
-        if not self.noise_sigma >= 0.0:
-            raise ConfigurationError(
-                f"fingerprints.noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        """Both spacings must be positive: the coverage path steps by
+        line_spacing and the samples by sample_spacing."""
+        check_number("fingerprints.line_spacing", self.line_spacing, above=0)
+        check_number("fingerprints.sample_spacing", self.sample_spacing, above=0)
+        check_number("fingerprints.margin", self.margin)
+        check_number("fingerprints.noise_sigma", self.noise_sigma, at_least=0)
 
 
 @dataclass
@@ -77,6 +118,33 @@ class DistortionConfig:
     offdiag_range: list = field(default_factory=lambda: [-0.05, 0.05])
     bias_range: list = field(default_factory=lambda: [-20.0, 20.0])
     explicit: list | None = None  # [[12 floats] per sensor]
+
+    def __post_init__(self):
+        if self.mode not in ("random", "identity", "explicit"):
+            raise ConfigurationError(
+                "distortion.mode must be 'random', 'identity' or 'explicit', "
+                f"got {self.mode!r}")
+        for key in ("diag_range", "offdiag_range", "bias_range"):
+            value = getattr(self, key)
+            _check_vector(f"distortion.{key}", value, 2)
+            if not value[0] <= value[1]:
+                raise ConfigurationError(
+                    f"distortion.{key} must be an ordered [low, high] pair, "
+                    f"got {value!r}")
+        if self.explicit is None:
+            return
+        if not isinstance(self.explicit, list):
+            raise ConfigurationError(
+                f"distortion.explicit must be a list or null, got {self.explicit!r}")
+        for k, theta in enumerate(self.explicit):
+            _check_vector(f"distortion.explicit[{k}]", theta, 12)
+
+
+def _section(data: dict, key: str) -> dict:
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 @dataclass
@@ -96,25 +164,52 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def check(self) -> None:
+        """The seed, the sections held as plain data and the rules between
+        sections; the dataclass sections check their values when built."""
+        # int() would turn 7.9, true or "7" into a world not asked for.
+        check_number("seed", self.seed, integer=True, at_least=0)
+        noise_config(self)
+        kernel_params(self)
+        solver_config(self)
+        n_sensors = len(rig(self))
+        n_thetas = len(self.distortion.explicit or ())
+        if self.distortion.mode == "explicit" and n_thetas != n_sensors:
+            raise ConfigurationError(
+                f"distortion.explicit must hold one theta per rig sensor "
+                f"({n_sensors}), got {n_thetas}")
+        t = self.trajectory
+        xmin, xmax, ymin, ymax = self.world.extent()
+        for k, (x, y) in enumerate(t.waypoints):
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                raise ConfigurationError(
+                    f"trajectory.waypoints[{k}] {[x, y]} is off the map")
+        # At least two waypoints, none repeating the one before.
+        generate_trajectory(t.waypoints, t.speed, t.frame_rate, t.height)
+        coverage_waypoints(self)  # the margin must leave an interior
+        true_calibrations(self)  # a singular explicit C, or one drawn from the ranges
+
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigurationError(f"a scenario must be an object, got {data!r}")
         try:
-            seed = data["seed"]
-            # int() would turn 7.9, true or "7" into a world not asked for.
-            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-                raise ConfigurationError(
-                    f"seed must be an integer >= 0, got {seed!r}")
-            return ScenarioConfig(
-                seed=seed,
+            unknown = sorted(set(data) - {f.name for f in fields(ScenarioConfig)})
+            if unknown:
+                raise ConfigurationError(f"unknown scenario keys {unknown}")
+            config = ScenarioConfig(
+                seed=data["seed"],
                 world=WorldConfig(**data["world"]),
                 trajectory=TrajectoryConfig(**data["trajectory"]),
-                fingerprints=FingerprintConfig(**data.get("fingerprints", {})),
-                distortion=DistortionConfig(**data.get("distortion", {})),
-                noise=dict(data.get("noise", {})),
-                gpr=dict(data.get("gpr", {})),
-                solver=dict(data.get("solver", {})),
+                fingerprints=FingerprintConfig(**_section(data, "fingerprints")),
+                distortion=DistortionConfig(**_section(data, "distortion")),
+                noise=dict(_section(data, "noise")),
+                gpr=dict(_section(data, "gpr")),
+                solver=dict(_section(data, "solver")),
                 rig=data.get("rig"),
             )
+            config.check()
+            return config
         except (KeyError, TypeError) as exc:
             raise ConfigurationError(f"bad scenario config: {exc}") from exc
 
@@ -141,10 +236,6 @@ def seed_children(seed: int, n: int = 4) -> list:
 
 def field_model(config: ScenarioConfig) -> FieldModel:
     earth = np.asarray(config.world.earth_field, dtype=float)
-    norm = float(np.linalg.norm(earth))
-    if not 10.0 <= norm <= 100.0:
-        raise ConfigurationError(
-            f"earth field norm {norm:.1f} uT outside the plausible 10-100 range")
     dipoles = [DipoleSource(np.asarray(d["position"], float),
                             np.asarray(d["moment"], float))
                for d in config.world.dipoles]
@@ -153,44 +244,34 @@ def field_model(config: ScenarioConfig) -> FieldModel:
 
 def grid_spec(config: ScenarioConfig) -> dict:
     w = config.world
-    spec = {"origin": np.asarray(w.origin, float), "resolution": float(w.resolution),
+    return {"origin": np.asarray(w.origin, float), "resolution": float(w.resolution),
             "nx": int(w.nx), "ny": int(w.ny), "plane_height": float(w.plane_height)}
-    if not (spec["resolution"] > 0.0
-            and np.isfinite([*spec["origin"], spec["plane_height"]]).all()):
-        raise ConfigurationError("world.resolution must be positive, origin and height finite")
-    return spec
 
 
 def rig(config: ScenarioConfig) -> list:
     if config.rig is None:
         return default_rig()
+    _check_entries("rig", config.rig, ("rotvec", "translation"))
+    if not config.rig:
+        raise ConfigurationError("rig must hold at least one sensor, got []")
     return [SensorExtrinsics(exp_so3(np.asarray(s["rotvec"], float)),
                              np.asarray(s["translation"], float))
             for s in config.rig]
 
 
 def noise_config(config: ScenarioConfig) -> NoiseConfig:
-    try:
-        return NoiseConfig(**config.noise)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad noise section: {exc}") from exc
+    return NoiseConfig(**config.noise)
 
 
 def kernel_params(config: ScenarioConfig) -> KernelParams:
-    try:
-        return KernelParams(**config.gpr)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad gpr section: {exc}") from exc
+    return KernelParams(**config.gpr)
 
 
 def solver_config(config: ScenarioConfig, **overrides) -> SolverConfig:
     params = dict(config.solver)
     params.update(overrides)
     params.setdefault("meas_sigma", config.noise.get("meas_sigma", 0.2))
-    try:
-        return SolverConfig(**params)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad solver section: {exc}") from exc
+    return SolverConfig(**params)
 
 
 def true_calibrations(config: ScenarioConfig) -> list:
@@ -200,26 +281,20 @@ def true_calibrations(config: ScenarioConfig) -> list:
     if d.mode == "identity":
         return [CalibrationParams.identity() for _ in range(n)]
     if d.mode == "explicit":
-        if d.explicit is None or len(d.explicit) != n:
-            raise ConfigurationError("explicit distortion needs one theta per sensor")
         return [CalibrationParams.from_theta(np.asarray(t, float))
                 for t in d.explicit]
-    if d.mode == "random":
-        rng = seed_children(config.seed)[1]
-        return sample_distortions(n, rng, tuple(d.diag_range),
-                                  tuple(d.offdiag_range), tuple(d.bias_range))
-    raise ConfigurationError(f"unknown distortion mode {d.mode!r}")
+    rng = seed_children(config.seed)[1]
+    return sample_distortions(n, rng, tuple(d.diag_range),
+                              tuple(d.offdiag_range), tuple(d.bias_range))
 
 
 def coverage_waypoints(config: ScenarioConfig) -> list:
     """Lawnmower coverage polyline for fingerprint collection."""
-    w = config.world
     fp = config.fingerprints
     fp.check()  # a non-positive line_spacing would never reach ymax
-    xmin = w.origin[0] + fp.margin
-    xmax = w.origin[0] + (w.nx - 1) * w.resolution - fp.margin
-    ymin = w.origin[1] + fp.margin
-    ymax = w.origin[1] + (w.ny - 1) * w.resolution - fp.margin
+    xmin, xmax, ymin, ymax = config.world.extent()
+    xmin, xmax = xmin + fp.margin, xmax - fp.margin
+    ymin, ymax = ymin + fp.margin, ymax - fp.margin
     if not (xmin < xmax and ymin < ymax):
         raise ConfigurationError(
             f"fingerprints.margin {fp.margin!r} leaves no interior")

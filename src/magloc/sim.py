@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetSchemaError
+from .errors import ConfigurationError, DatasetSchemaError, check_number
 from .geom import PoseState, exp_so3, log_so3
 from .magmap import FieldModel, sample_field_many
 
@@ -78,9 +78,8 @@ class NoiseConfig:
     odom_rot_sigma: float = 0.005  # radians per meter traveled
 
     def __post_init__(self):
-        if not np.all(np.array([self.meas_sigma, self.odom_trans_sigma,
-                                self.odom_rot_sigma]) >= 0.0):
-            raise ConfigurationError("noise sigmas must be non-negative")
+        for name in ("meas_sigma", "odom_trans_sigma", "odom_rot_sigma"):
+            check_number(f"noise.{name}", getattr(self, name), at_least=0)
 
 
 @dataclass
@@ -166,14 +165,16 @@ def generate_trajectory(waypoints, speed: float, frame_rate: float,
     """
     if len(waypoints) < 2:
         raise ConfigurationError("need at least two waypoints")
-    if not (0.0 < speed < np.inf and 0.0 < frame_rate < np.inf and np.isfinite(height)):
-        raise ConfigurationError(
-            "speed and frame_rate must be positive and finite, height finite")
+    check_number("speed", speed, above=0)
+    check_number("frame_rate", frame_rate, above=0)
+    check_number("height", height)
     xy = np.array([np.asarray(w, dtype=float)[:2] for w in waypoints])
     seg_vecs = np.diff(xy, axis=0)
     seg_lens = np.linalg.norm(seg_vecs, axis=1)
     if not np.all(seg_lens > 0.0):
-        raise ConfigurationError("repeated or non-finite consecutive waypoints")
+        k = int(np.argmin(seg_lens > 0.0)) + 1
+        raise ConfigurationError(
+            f"waypoints[{k}] repeats the waypoint before it or is not finite")
     cum = np.concatenate([[0.0], np.cumsum(seg_lens)])
     step = speed / frame_rate
     s = np.minimum(np.arange(int(np.floor(cum[-1] / step + 1e-9)) + 1) * step,

@@ -97,7 +97,8 @@ class TestGenDataset:
         scenario.save_config(cfg, path)
         out = tmp_path / "d"
         assert main(["gen-dataset", "--config", str(path), "--out", str(out)]) == 2
-        assert "positive" in capsys.readouterr().err
+        assert ("fingerprints.sample_spacing must be a finite number > 0"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("spacing", [0.0, -0.5])
     def test_bad_line_spacing_exit_2_before_any_write(self, tmp_path, spacing):
@@ -116,7 +117,8 @@ class TestGenDataset:
              "--config", str(path), "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2
-        assert "fingerprints.line_spacing must be positive" in proc.stderr
+        assert ("fingerprints.line_spacing must be a finite number > 0"
+                in proc.stderr)
         assert not out.exists()
         with pytest.raises(ConfigurationError, match="line_spacing"):
             scenario.coverage_waypoints(cfg)
@@ -252,6 +254,9 @@ class TestRunAndEval:
         cfg = small_config()
         cfg.world.origin = [100.0, 100.0]
         cfg.world.dipoles = []
+        # Its trajectory must lie on its own map for the scenario to load.
+        cfg.trajectory.waypoints = [[x + 100.0, y + 100.0]
+                                    for x, y in cfg.trajectory.waypoints]
         other = tmp_path / "other.json"
         scenario.save_config(cfg, other)
         main(["gen-world", "--config", str(other), "--out", str(tmp_path / "ow")])
@@ -295,6 +300,20 @@ class TestRunAndEval:
                      "--dataset", str(out / "dataset.jsonl"),
                      "--map", str(bad)]) == 1
         assert message in capsys.readouterr().err
+        assert not run_out.exists()
+
+    def test_map_with_too_few_nodes_exit_1(self, tmp_path, workdir, capsys):
+        # A malformed map file exits 1 like any other, not 2.
+        config_path, out = workdir
+        blob = bytearray((out / "map_true.mag").read_bytes())
+        blob[40:44] = np.array(1, dtype="<u4").tobytes()  # nx
+        bad = tmp_path / "bad.mag"
+        bad.write_bytes(bytes(blob))
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(bad)]) == 1
+        assert "header field nx is 1" in capsys.readouterr().err
         assert not run_out.exists()
 
     @pytest.mark.parametrize("key, q", [("dq", [1.0, 1.0, 0.0, 0.0]),
@@ -452,15 +471,17 @@ class TestPipeline:
         scenario.save_config(cfg, path)
         out = tmp_path / "p"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
-        assert f"{key} must be positive" in capsys.readouterr().err
+        assert (f"gpr.{key} must be a finite number > 0"
+                in capsys.readouterr().err)
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("section, key, message", [
-        ("trajectory", "speed", "speed and frame_rate must be positive"),
-        ("trajectory", "height", "height finite"),
-        ("fingerprints", "margin", "fingerprints.margin nan leaves no interior"),
-        ("world", "resolution", "world.resolution must be positive"),
-        ("noise", "odom_trans_sigma", "noise sigmas must be non-negative")])
+        ("trajectory", "speed", "trajectory.speed must be a finite number > 0"),
+        ("trajectory", "height", "trajectory.height must be a finite number"),
+        ("fingerprints", "margin", "fingerprints.margin must be a finite number"),
+        ("world", "resolution", "world.resolution must be a finite number > 0"),
+        ("noise", "odom_trans_sigma",
+         "noise.odom_trans_sigma must be a finite number >= 0")])
     def test_non_finite_scenario_value_exit_2_before_any_write(
             self, tmp_path, capsys, section, key, message):
         # Each of these once passed its check and failed only after
@@ -475,11 +496,15 @@ class TestPipeline:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("key, value, message", [
-        ("line_spacing", "0.5", "fingerprints.line_spacing must be a number"),
-        ("sample_spacing", True, "fingerprints.sample_spacing must be a number"),
-        ("margin", "1.0", "fingerprints.margin must be a number"),
-        ("noise_sigma", None, "fingerprints.noise_sigma must be a number"),
-        ("noise_sigma", -0.2, "fingerprints.noise_sigma must be >= 0")])
+        ("line_spacing", "0.5",
+         "fingerprints.line_spacing must be a finite number > 0"),
+        ("sample_spacing", True,
+         "fingerprints.sample_spacing must be a finite number > 0"),
+        ("margin", "1.0", "fingerprints.margin must be a finite number"),
+        ("noise_sigma", None,
+         "fingerprints.noise_sigma must be a finite number >= 0"),
+        ("noise_sigma", -0.2,
+         "fingerprints.noise_sigma must be a finite number >= 0")])
     def test_bad_fingerprint_value_exit_2_before_any_write(
             self, tmp_path, capsys, key, value, message):
         # A string once failed only at the comparison, with a message that
@@ -507,6 +532,50 @@ class TestPipeline:
         out = tmp_path / "p"
         assert main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
         assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("trajectory.speed", "0.5", "trajectory.speed"),
+        ("trajectory.frame_rate", None, "trajectory.frame_rate"),
+        ("world.resolution", "0.1", "world.resolution"),
+        ("world.nx", "151", "world.nx"),
+        ("world.origin", [0.0], "world.origin"),
+        ("trajectory.waypoints", [[2.5, 2.5], [3.0]], "trajectory.waypoints[1]"),
+        ("rig", [{}], "rig[0].rotvec"),
+        ("world.dipoles", [{}], "world.dipoles[0].position"),
+        ("distortion.bias_range", [20, -20], "distortion.bias_range"),
+        ("distortion.diag_range", "ab", "distortion.diag_range"),
+        ("distortion.offdiag_range", [-0.05, 0.05, 0.1],
+         "distortion.offdiag_range"),
+        ("--seed", -1, "--seed"),
+        ("trajectory.speed", True, "trajectory.speed"),
+        ("world.nx", 151.7, "world.nx"),
+        ("world.plane_height", True, "world.plane_height"),
+        ("world.earth_field", ["18", "4", "-44"], "world.earth_field[0]"),
+        ("noise.odom_trans_sigma", True, "noise.odom_trans_sigma"),
+        ("noise.odom_rot_sigma", "0.005", "noise.odom_rot_sigma"),
+        ("world.nx", 1, "world.nx"),
+        ("rig", [], "rig"),
+    ])
+    def test_malformed_value_exit_2_naming_its_key(self, tmp_path, capsys,
+                                                   key, value, named):
+        # Each once exited 1 with a stray type or index error, ran with a
+        # value nobody asked for, or exited 2 naming no key.
+        out = tmp_path / "p"
+        if key.startswith("--"):
+            argv = ["gen-world", key, str(value), "--out", str(out)]
+        else:
+            data = scenario.reference_config(7).to_dict()
+            *sections, leaf = key.split(".")
+            target = data
+            for section in sections:
+                target = target[section]
+            target[leaf] = value
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            argv = ["pipeline", "--config", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"configuration error: {named} must" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_ate_of_estimated_frames(self, tmp_path):

@@ -250,7 +250,7 @@ class TestSolverConfig:
         # not name the key, and a bool passed as 1 or 0.
         cfg = scenario.reference_config()
         cfg.solver = {name: value}
-        with pytest.raises(ConfigurationError, match=f"{name} must be a number"):
+        with pytest.raises(ConfigurationError, match=f"solver.{name} must be a finite number"):
             scenario.solver_config(cfg)
 
     @pytest.mark.parametrize("name", ["window_m", "meas_sigma"])

@@ -157,7 +157,7 @@ class TestKernelParams:
     @pytest.mark.parametrize("name", ["lengthscale", "signal_var", "noise_var"])
     @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
     def test_positive_and_finite(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
+        with pytest.raises(ValueError, match=f"gpr.{name} must be a finite number > 0"):
             make_params(**{name: value})
 
     @pytest.mark.parametrize("name", ["lengthscale", "signal_var", "noise_var"])
@@ -165,14 +165,14 @@ class TestKernelParams:
     def test_non_number_names_its_key(self, name, value):
         # A string used to fail the comparison with a TypeError that did not
         # name the key, and true passed as 1.0.
-        with pytest.raises(ValueError, match=f"{name} must be positive"):
+        with pytest.raises(ValueError, match=f"gpr.{name} must be a finite number > 0"):
             make_params(**{name: value})
 
     @pytest.mark.parametrize("value", ["1.0", True])
     def test_scenario_section_raises_configuration_error(self, value):
         cfg = scenario.reference_config()
         cfg.gpr = {"lengthscale": value}
-        with pytest.raises(ConfigurationError, match="lengthscale must be positive"):
+        with pytest.raises(ConfigurationError, match="gpr.lengthscale must be a finite number > 0"):
             scenario.kernel_params(cfg)
 
     @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(3)])

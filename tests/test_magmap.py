@@ -356,6 +356,19 @@ class TestMapIo:
         with pytest.raises(MapFormatError, match=f"header field {name}"):
             load_map(path)
 
+    @pytest.mark.parametrize("index, name", [(0, "nx"), (1, "ny")])
+    def test_too_few_nodes_named(self, tmp_path, index, name):
+        # A malformed file, not a configuration error, however the
+        # in-memory map would reject the same count.
+        path = tmp_path / "m.mag"
+        save_map(affine_map(np.eye(3), np.zeros(3)), path)
+        blob = bytearray(path.read_bytes())
+        offset = 8 + 8 * 4 + 4 * index
+        blob[offset:offset + 4] = np.array(1, dtype="<u4").tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MapFormatError, match=f"header field {name} is 1"):
+            load_map(path)
+
     def test_non_finite_node_named(self, tmp_path):
         grid = affine_map(np.eye(3), np.zeros(3))
         grid.values[5, 3, 2] = np.nan

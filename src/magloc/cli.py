@@ -2,10 +2,12 @@
 building, online estimation, and evaluation.
 
 Every subcommand validates its inputs before creating any output file and
-materializes the configuration it ran with into the output directory.  The
-scenario is checked whole when it is loaded, the `--seed` override through
-the same number rule, so only the run flags are left to check before the
-first write.
+materializes the scenario it ran with into the output directory
+(`scenario.json`).  The scenario is checked whole when it is loaded, the
+`--seed` override through the same number rule, so nothing is left to check
+before the first write.  Solver settings, the paper's ablations among them,
+come from the scenario's `solver` section alone; `run` and `pipeline` take
+only the run's inputs as flags.
 Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error.
 """
 
@@ -30,6 +32,7 @@ THETA_TRACE = "theta_trace.csv"
 RUN_SUMMARY = "run_summary.json"
 RUN_CONFIG = "run_config.json"
 REPORT = "report.json"
+SCENARIO = "scenario.json"
 
 
 def _write_json(data: dict, path) -> None:
@@ -62,7 +65,7 @@ def cmd_gen_world(args) -> int:
     grid = magmap.rasterize(model, **spec)
     out = _out_dir(args)
     magmap.save_map(grid, out / MAP_TRUE)
-    scenario.save_config(config, out / "scenario.json")
+    scenario.save_config(config, out / SCENARIO)
     print(f"world: {grid.nx}x{grid.ny} nodes at {grid.resolution} m -> {out / MAP_TRUE}")
     return 0
 
@@ -94,7 +97,7 @@ def cmd_gen_dataset(args) -> int:
         "mode": config.distortion.mode,
         "thetas": [[float(v) for v in c.theta()] for c in calibs],
     }, out / TRUTH)
-    scenario.save_config(config, out / "scenario.json")
+    scenario.save_config(config, out / SCENARIO)
     print(f"dataset: {len(frames)} frames, {len(fingerprints)} fingerprints -> {out}")
     return 0
 
@@ -106,28 +109,15 @@ def cmd_build_map(args) -> int:
     grid = gpr.build_grid(model, **scenario.grid_spec(config))
     out = _out_dir(args)
     magmap.save_map(grid, out / MAP_GPR)
+    scenario.save_config(config, out / SCENARIO)
     print(f"map: fitted {len(fingerprints)} fingerprints -> {out / MAP_GPR}")
     return 0
-
-
-def _solver_from_args(config, args) -> estimator.SolverConfig:
-    overrides = {}
-    if args.window_m is not None:
-        overrides["window_m"] = args.window_m
-    if args.no_window:
-        overrides["window_m"] = 0.0
-    if args.no_calib:
-        overrides["calibrate"] = False
-    if args.state_mask:
-        overrides["state_mask"] = args.state_mask
-    return scenario.solver_config(config, **overrides)
 
 
 def cmd_run(args) -> int:
     config = _load_scenario(args)
     frames = sim.read_dataset(args.dataset)
     grid = magmap.load_map(args.map)
-    solver = _solver_from_args(config, args)
     rig = scenario.rig(config)
 
     truth_path = Path(args.truth) if args.truth else Path(args.dataset).parent / TRUTH
@@ -145,7 +135,7 @@ def cmd_run(args) -> int:
             frame.readings = np.stack([
                 c.c @ frame.readings[i] + c.b for i, c in enumerate(calibs)])
 
-    output = estimator.run(frames, grid, rig, solver)
+    output = estimator.run(frames, grid, rig, scenario.solver_config(config))
     out = _out_dir(args)
     estimator.write_trajectory_csv(output, out / TRAJECTORY)
     estimator.write_theta_trace_csv(output, out / THETA_TRACE)
@@ -153,12 +143,10 @@ def cmd_run(args) -> int:
     _write_json({
         "dataset": str(args.dataset),
         "map": str(args.map),
+        "truth": str(truth_path) if args.precalibrated else None,
         "precalibrated": bool(args.precalibrated),
-        "no_calib": bool(args.no_calib),
-        "no_window": bool(args.no_window),
-        "window_m": solver.window_m,
-        "state_mask": solver.state_mask,
     }, out / RUN_CONFIG)
+    scenario.save_config(config, out / SCENARIO)
     print(f"run: {len(frames)} frames, "
           f"{int(output.fallbacks.sum())} fallbacks, "
           f"mean {output.frame_ms.mean():.1f} ms/frame -> {out}")
@@ -216,12 +204,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    # Loading checks the scenario; the run flags reach the solver only after
-    # the steps before it have written files, so check them first.
-    _solver_from_args(_load_scenario(args), args)
-    out = _out_dir(args)
-    args.out = str(out)
-    cmd_gen_world(args)
+    out = Path(args.out)
+    cmd_gen_world(args)  # loading the scenario checks it before any write
     cmd_gen_dataset(args)
     args.fingerprints = str(out / FINGERPRINTS)
     cmd_build_map(args)
@@ -260,14 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_map)
 
     def run_flags(p):
-        p.add_argument("--no-calib", action="store_true",
-                       help="disable online calibration")
-        p.add_argument("--no-window", action="store_true",
-                       help="disable sequence accumulation")
         p.add_argument("--precalibrated", action="store_true",
                        help="apply the true calibration to readings first")
-        p.add_argument("--window-m", type=float, default=None)
-        p.add_argument("--state-mask", choices=("xy", "xyyaw"), default=None)
         p.add_argument("--truth", default=None, help="true_calibration.json path")
 
     p = sub.add_parser("run", help="online estimation over a dataset")

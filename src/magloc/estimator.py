@@ -44,7 +44,7 @@ from .sim import DatasetFrame, identity_theta
 from .window import SlidingWindow, WindowSnapshot, sensor_poses
 
 # Number of leading (x, y, yaw) coordinates each state mask solves for;
-# "xy" holds the yaw at the prior.
+# "xy" holds the yaw at the prior.  The pose block solves for all three.
 STATE_MASKS = {"xy": 2, "xyyaw": 3}
 # Largest deviation from a unit quaternion about z that a dataset may carry.
 QUAT_TOL = 1e-9
@@ -57,13 +57,14 @@ POSE_TOL_RAD = 1e-4
 
 @dataclass
 class SolverConfig:
-    """Solver settings a scenario's `solver` section may set.
+    """Solver settings, set only through a scenario's `solver` section.
 
     max_alternations caps the Gauss-Newton steps of one frame's pose block.
+    window_m = 0 turns sequence accumulation off and calibrate = False the
+    online calibration: the paper's two ablations.
     """
 
     max_alternations: int = 10
-    state_mask: str = "xyyaw"
     # None = auto threshold 10 * meas_sigma * sqrt(3 * N * window), or inf
     # when calibration is off or meas_sigma is 0; inf disables the
     # residual-based fallback entirely.
@@ -73,10 +74,6 @@ class SolverConfig:
     calibrate: bool = True
 
     def __post_init__(self):
-        if not (isinstance(self.state_mask, str)
-                and self.state_mask in STATE_MASKS):
-            raise ConfigurationError(
-                f"solver.state_mask must be 'xy' or 'xyyaw', got {self.state_mask!r}")
         check_number("solver.max_alternations", self.max_alternations,
                      integer=True, at_least=1)
         # meas_sigma defaults to the scenario's noise level, which is 0 for
@@ -256,7 +253,7 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
                                 it.x.position)
             dx, stalled = gauss_newton_step(
                 it.residual.reshape(-1), jac.reshape(-1, 3),
-                config.state_mask, GN_DAMPING, trial_norm)
+                "xyyaw", GN_DAMPING, trial_norm)
             steps += 1
             if stalled:
                 break

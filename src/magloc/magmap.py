@@ -109,8 +109,8 @@ class MagneticGridMap:
                 float(self.origin[1] + (self.ny - 1) * self.resolution))
 
 
-def _distance_to_grid_rect(p: np.ndarray, origin, resolution, nx, ny,
-                           plane_height) -> float:
+def distance_to_grid_rect(p: np.ndarray, origin, resolution, nx, ny,
+                          plane_height) -> float:
     """3-D distance from a point to the planar map rectangle."""
     xmin, ymin = float(origin[0]), float(origin[1])
     xmax = xmin + (nx - 1) * resolution
@@ -130,8 +130,8 @@ def rasterize(model: FieldModel, origin, resolution: float, nx: int, ny: int,
     """
     origin = np.asarray(origin, dtype=float)
     for d in model.dipoles:
-        dist = _distance_to_grid_rect(d.position, origin, resolution, nx, ny,
-                                      plane_height)
+        dist = distance_to_grid_rect(d.position, origin, resolution, nx, ny,
+                                     plane_height)
         if dist < resolution:
             raise ConfigurationError(
                 f"dipole at {d.position} within one cell of the mapped region")

@@ -2,7 +2,8 @@
 
 A scenario file is a single JSON document; every command materializes the
 resolved configuration it ran with into its output directory so runs are
-self-describing.  A scenario is checked whole when it is loaded
+self-describing.  Its `solver` section is the only source of the CLI's
+solver settings.  A scenario is checked whole when it is loaded
 (`ScenarioConfig.from_dict`): every number through `errors.check_number`,
 every list for its length, and the rules between sections, so a bad value
 exits 2 naming its key before any command writes a file.  Seeds feed
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigurationError, check_number
 from .geom import exp_so3
 from .gpr import KernelParams
-from .magmap import DipoleSource, FieldModel
+from .magmap import DipoleSource, FieldModel, distance_to_grid_rect
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
                   default_rig, generate_trajectory, sample_distortions)
 from .estimator import SolverConfig
@@ -67,6 +68,12 @@ class WorldConfig:
         check_number("world.nx", self.nx, integer=True, at_least=2)
         check_number("world.ny", self.ny, integer=True, at_least=2)
         check_number("world.plane_height", self.plane_height)
+        for k, d in enumerate(self.dipoles):  # rasterize's rule, before any write
+            p = d["position"]
+            if distance_to_grid_rect(p, self.origin, self.resolution, self.nx,
+                                     self.ny, self.plane_height) < self.resolution:
+                raise ConfigurationError(f"world.dipoles[{k}].position must keep one "
+                                         f"cell from the mapped region, got {p!r}")
 
     def extent(self) -> tuple:
         """(xmin, xmax, ymin, ymax) of the mapped rectangle."""
@@ -268,6 +275,8 @@ def kernel_params(config: ScenarioConfig) -> KernelParams:
 
 
 def solver_config(config: ScenarioConfig, **overrides) -> SolverConfig:
+    """The scenario's solver section, with meas_sigma defaulting to the
+    noise section's; overrides let code vary a setting over one scenario."""
     params = dict(config.solver)
     params.update(overrides)
     params.setdefault("meas_sigma", config.noise.get("meas_sigma", 0.2))

@@ -105,27 +105,32 @@ class DatasetFrame:
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:
-    """wxyz unit quaternion from a rotation matrix (Shepperd's method)."""
+    """wxyz unit quaternions from rotation matrices (..., 3, 3) (Shepperd's
+    method).  Each matrix takes the operations it would take alone, its
+    norm one dot product, so stacking leaves every bit as it is."""
     r = np.asarray(r, dtype=float)
-    trace = r[0, 0] + r[1, 1] + r[2, 2]
-    if trace > 0.0:
-        s = np.sqrt(trace + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    else:
-        k = int(np.argmax(np.diag(r)))
-        i, j = (k + 1) % 3, (k + 2) % 3
-        s = np.sqrt(max(0.0, 1.0 + r[k, k] - r[i, i] - r[j, j])) * 2.0
-        q = np.empty(4)
-        q[0] = (r[j, i] - r[i, j]) / s
-        q[1 + k] = 0.25 * s
-        q[1 + i] = (r[i, k] + r[k, i]) / s
-        q[1 + j] = (r[j, k] + r[k, j]) / s
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+    m = r.reshape(-1, 3, 3)
+    trace = m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2]
+    q = np.empty((len(m), 4))
+    top = trace > 0.0
+    b, s = m[top], np.sqrt(trace[top] + 1.0) * 2.0
+    q[top] = np.stack([0.25 * s, (b[:, 2, 1] - b[:, 1, 2]) / s,
+                       (b[:, 0, 2] - b[:, 2, 0]) / s,
+                       (b[:, 1, 0] - b[:, 0, 1]) / s], axis=1)
+    b, n = m[~top], np.arange(np.count_nonzero(~top))
+    k = np.argmax(np.diagonal(b, axis1=1, axis2=2), axis=1)
+    i, j = (k + 1) % 3, (k + 2) % 3
+    s = np.sqrt(np.maximum(0.0, 1.0 + b[n, k, k] - b[n, i, i] - b[n, j, j])) * 2.0
+    rest = np.empty((len(b), 4))
+    rest[:, 0] = (b[n, j, i] - b[n, i, j]) / s
+    rest[n, 1 + k] = 0.25 * s
+    rest[n, 1 + i] = (b[n, i, k] + b[n, k, i]) / s
+    rest[n, 1 + j] = (b[n, j, k] + b[n, k, j]) / s
+    q[~top] = rest
+    q[q[:, 0] < 0.0] *= -1.0
+    # (1, 4) @ (4, 1) is numpy's dot, as in np.linalg.norm of one vector.
+    return (q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]).reshape(
+        r.shape[:-2] + (4,))
 
 
 def rotation_from_quat(q: np.ndarray) -> np.ndarray:
@@ -240,9 +245,11 @@ def build_dataset(field: FieldModel, poses, frame_rate: float, extrinsics,
                                body - biases)[..., 0]
     if noise.meas_sigma > 0.0:
         readings = readings + rng.normal(0.0, noise.meas_sigma, size=readings.shape)
-    return [DatasetFrame(k / frame_rate, quat_from_rotation(dr), dp, readings[k],
-                         pose.position.copy(), quat_from_rotation(r_body[k]))
-            for k, (pose, (dr, dp)) in enumerate(zip(poses, increments))]
+    dqs = quat_from_rotation(np.stack([dr for dr, _ in increments]))
+    gt_qs = quat_from_rotation(r_body)
+    return [DatasetFrame(k / frame_rate, dqs[k], dp, readings[k],
+                         pose.position.copy(), gt_qs[k])
+            for k, (pose, (_, dp)) in enumerate(zip(poses, increments))]
 
 
 def write_dataset(frames, path) -> None:

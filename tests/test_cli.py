@@ -32,6 +32,13 @@ def small_config(seed=3, **kw):
     return cfg
 
 
+def reference_dipoles_with_first_at(z):
+    """The reference world's dipoles, the first moved to height z."""
+    dipoles = scenario.reference_config(7).world.dipoles
+    dipoles[0]["position"][2] = z
+    return dipoles
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.json"
@@ -364,34 +371,68 @@ class TestRunAndEval:
         assert f"only {n_frames} associated positions" in capsys.readouterr().err
         assert not (run_out / "report.json").exists()
 
-    def test_ablation_flags_recorded(self, workdir):
-        config_path, out = workdir
-        main(["run", "--config", config_path, "--out", str(out),
-              "--dataset", str(out / "dataset.jsonl"),
-              "--map", str(out / "map_true.mag"),
-              "--no-calib", "--no-window", "--window-m", "0.8"])
-        run_config = json.loads((out / "run_config.json").read_text())
-        assert run_config["no_calib"] and run_config["no_window"]
-        assert run_config["window_m"] == 0.0  # no-window wins over window-m
+    def test_ablations_recorded_in_scenario_json(self, workdir, tmp_path):
+        # The ablations are set through the scenario's solver section, and
+        # the run directory records that section; run_config.json holds
+        # the run's inputs only.
+        _, out = workdir
+        for solver in ({"calibrate": False, "max_alternations": 3},
+                       {"window_m": 0.0}):
+            path = tmp_path / "ablation.json"
+            scenario.save_config(small_config(solver=solver), path)
+            run_out = tmp_path / "ablation_run"
+            assert main(["run", "--config", str(path), "--out", str(run_out),
+                         "--dataset", str(out / "dataset.jsonl"),
+                         "--map", str(out / "map_true.mag")]) == 0
+            recorded = json.loads((run_out / "scenario.json").read_text())
+            assert recorded["solver"] == solver
+            summary = json.loads((run_out / "run_summary.json").read_text())
+            calibrated = solver.get("calibrate", True)
+            assert (summary["calib_sigma"] is None) == (not calibrated)
+            run_config = json.loads((run_out / "run_config.json").read_text())
+            assert sorted(run_config) == ["dataset", "map", "precalibrated",
+                                          "truth"]
 
-    def test_state_mask_recorded(self, workdir):
-        config_path, out = workdir
-        assert main(["run", "--config", config_path, "--out", str(out),
-                     "--dataset", str(out / "dataset.jsonl"),
-                     "--map", str(out / "map_true.mag"),
-                     "--state-mask", "xy"]) == 0
-        run_config = json.loads((out / "run_config.json").read_text())
-        assert run_config["state_mask"] == "xy"
+    def test_scenario_json_reproduces_the_run(self, tmp_path):
+        # A run directory's scenario.json is enough to run it again: the
+        # calibration trace and the trajectory, timings aside, come out the
+        # same without the original scenario file.
+        cfg = small_config(solver={"window_m": 0.3, "max_alternations": 4})
+        path = tmp_path / "s.json"
+        scenario.save_config(cfg, path)
+        data = tmp_path / "d"
+        main(["gen-world", "--config", str(path), "--out", str(data)])
+        main(["gen-dataset", "--config", str(path), "--out", str(data)])
+        inputs = ["--dataset", str(data / "dataset.jsonl"),
+                  "--map", str(data / "map_true.mag")]
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", str(path), "--out", str(first),
+                     *inputs]) == 0
+        assert main(["run", "--config", str(first / "scenario.json"),
+                     "--out", str(second), *inputs]) == 0
+        assert ((first / "theta_trace.csv").read_bytes()
+                == (second / "theta_trace.csv").read_bytes())
+        a = evaluate.read_trajectory_csv(first / "trajectory.csv")
+        b = evaluate.read_trajectory_csv(second / "trajectory.csv")
+        assert set(a) == set(b)
+        for column in set(a) - {"ms"}:
+            np.testing.assert_array_equal(a[column], b[column])
 
-    def test_state_mask_full_exit_2(self, workdir, tmp_path):
+    def test_removed_run_flags_exit_2(self, workdir, tmp_path, capsys):
+        # Solver settings come from the scenario alone: the old run flags
+        # are unknown arguments, refused before anything is written.
         config_path, out = workdir
-        run_out = tmp_path / "full_run"
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", config_path, "--out", str(run_out),
-                  "--dataset", str(out / "dataset.jsonl"),
-                  "--map", str(out / "map_true.mag"), "--state-mask", "full"])
-        assert exc.value.code == 2
-        assert not run_out.exists()
+        run_out = tmp_path / "flag_run"
+        for flag in (["--no-calib"], ["--no-window"], ["--window-m", "0.8"],
+                     ["--state-mask", "xy"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", config_path, "--out", str(run_out),
+                      "--dataset", str(out / "dataset.jsonl"),
+                      "--map", str(out / "map_true.mag"), *flag])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(flag)}" in err
+            assert not run_out.exists()
 
     def test_precalibrated_flag(self, tmp_path):
         cfg = small_config()
@@ -429,8 +470,10 @@ class TestPipeline:
         assert "eta" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    # flags: pipeline arguments besides the scenario; the run flags left
+    # do not bypass the check.
     @pytest.mark.parametrize("solver, flags, name", [
-        ({}, ["--window-m", "-1"], "window_m"),
+        ({"window_m": -1.0}, ["--precalibrated"], "window_m"),
         ({"window_m": float("nan")}, [], "window_m"),
         ({"max_alternations": 0}, [], "max_alternations"),
         ({"max_alternations": 2.5}, [], "max_alternations"),
@@ -439,6 +482,7 @@ class TestPipeline:
         ({"pose_tol_m": -1e-4}, [], "pose_tol_m"),
         ({"pose_tol_rad": -1e-4}, [], "pose_tol_rad"),
         ({"meas_sigma": -1.0}, [], "meas_sigma"),
+        # The state mask is no solver setting any more: an unknown key.
         ({"state_mask": "full"}, [], "state_mask"),
         ({"state_mask": [True] * 6}, [], "state_mask"),
         # A non-empty string is truthy: "false" would turn calibration on.
@@ -556,6 +600,10 @@ class TestPipeline:
         ("noise.odom_rot_sigma", "0.005", "noise.odom_rot_sigma"),
         ("world.nx", 1, "world.nx"),
         ("rig", [], "rig"),
+        # Within one cell of the map: rasterize once refused it only after
+        # the output directory was made, naming no key.
+        ("world.dipoles", reference_dipoles_with_first_at(-0.05),
+         "world.dipoles[0].position"),
     ])
     def test_malformed_value_exit_2_naming_its_key(self, tmp_path, capsys,
                                                    key, value, named):

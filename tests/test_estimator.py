@@ -364,18 +364,17 @@ class TestAlternate:
         # the pooled residual there reproduces it bit for bit.
         grid, w, thetas, x_gt = self._dipole_window()
         snap = w.snapshot()
-        for mask in ("xyyaw", "xy"):
-            for offset in ([0.03, -0.02, 0.02], [-0.06, 0.04, -0.05]):
-                cfg = SolverConfig(state_mask=mask, divergence_residual=np.inf)
-                x0 = shifted(x_gt, *offset)
-                result = alternate(w, thetas, x0, grid, cfg)
-                rot, pos = sensor_poses(snap, rot_z(result.x.orientation[2]),
-                                        result.x.position)
-                m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
-                g = np.einsum("...ji,...j->...i", rot, m)
-                pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
-                                 snap.readings) + thetas[:, 9:]
-                assert result.residual_norm == float(np.linalg.norm(pred - g))
+        for offset in ([0.03, -0.02, 0.02], [-0.06, 0.04, -0.05]):
+            cfg = SolverConfig(divergence_residual=np.inf)
+            x0 = shifted(x_gt, *offset)
+            result = alternate(w, thetas, x0, grid, cfg)
+            rot, pos = sensor_poses(snap, rot_z(result.x.orientation[2]),
+                                    result.x.position)
+            m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
+            g = np.einsum("...ji,...j->...i", rot, m)
+            pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
+                             snap.readings) + thetas[:, 9:]
+            assert result.residual_norm == float(np.linalg.norm(pred - g))
 
     def test_one_map_evaluation_per_iterate(self, monkeypatch):
         # One field lookup for the prior plus one per line-search trial, and
@@ -447,8 +446,7 @@ class TestAlternate:
         # pose tolerances; `alternations` counts the steps taken.
         steps = self._record_steps(monkeypatch)
         grid, w, thetas, x_gt = self._dipole_window()
-        cases = [(grid, w, thetas, x_gt, offset, mask)
-                 for mask in ("xyyaw", "xy")
+        cases = [(grid, w, thetas, x_gt, offset)
                  for offset in ([0.0, 0.0, 0.0], [0.03, -0.02, 0.02],
                                 [-0.06, 0.04, -0.05], [0.1, 0.08, 0.1])]
         # Uncalibrated readings: the line search stalls after several
@@ -456,11 +454,11 @@ class TestAlternate:
         grid_long, w_long, _, x_long = self._dipole_window(n_frames=40)
         identity = np.stack([identity_theta() for _ in range(len(thetas))])
         cases.append((grid_long, w_long, identity, x_long,
-                      [-0.037, -0.027, -0.016], "xyyaw"))
+                      [-0.037, -0.027, -0.016]))
         endings = []
-        for g, window, th, x_ref, offset, mask in cases:
+        for g, window, th, x_ref, offset in cases:
             steps.clear()
-            cfg = SolverConfig(state_mask=mask, divergence_residual=np.inf)
+            cfg = SolverConfig(divergence_residual=np.inf)
             result = alternate(window, th, shifted(x_ref, *offset), g, cfg)
             assert result.alternations == len(steps) < cfg.max_alternations
             for dx, stalled in steps[:-1]:

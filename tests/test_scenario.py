@@ -66,7 +66,7 @@ def _full_reference():
     """The reference scenario with its optional sections filled in, so that
     the solver keys and the rig and explicit-theta entries are walked too."""
     data = scenario.reference_config(7).to_dict()
-    data["solver"] = {"max_alternations": 10, "state_mask": "xyyaw",
+    data["solver"] = {"max_alternations": 10,
                       "divergence_residual": None, "meas_sigma": 0.2,
                       "window_m": 0.5, "calibrate": True}
     data["rig"] = [{"rotvec": [0.0, 0.0, 0.1], "translation": [0.1, 0.0, 0.0]}]

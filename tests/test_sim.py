@@ -81,6 +81,40 @@ class TestQuaternions:
         np.testing.assert_array_equal(quat_from_rotation(np.eye(3)),
                                       [1.0, 0.0, 0.0, 0.0])
 
+    @staticmethod
+    def _scalar_shepperd(r):
+        """One matrix at a time, the conversion datasets were written with."""
+        trace = r[0, 0] + r[1, 1] + r[2, 2]
+        if trace > 0.0:
+            s = np.sqrt(trace + 1.0) * 2.0
+            q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
+                          (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
+        else:
+            k = int(np.argmax(np.diag(r)))
+            i, j = (k + 1) % 3, (k + 2) % 3
+            s = np.sqrt(max(0.0, 1.0 + r[k, k] - r[i, i] - r[j, j])) * 2.0
+            q = np.empty(4)
+            q[0] = (r[j, i] - r[i, j]) / s
+            q[1 + k] = 0.25 * s
+            q[1 + i] = (r[i, k] + r[k, i]) / s
+            q[1 + j] = (r[j, k] + r[k, j]) / s
+        if q[0] < 0.0:
+            q = -q
+        return q / np.linalg.norm(q)
+
+    def test_stacked_bits_match_per_matrix(self, rng):
+        # A dataset stays byte-identical only if a stacked call rounds
+        # every matrix as a lone call and the scalar conversion do, in
+        # each of Shepperd's four branches.
+        rs = np.stack([random_rotation(rng) for _ in range(400)])
+        diag = np.diagonal(rs, axis1=1, axis2=2)
+        branch = np.where(diag.sum(axis=1) > 0.0, 3, np.argmax(diag, axis=1))
+        assert set(branch) == {0, 1, 2, 3}
+        stacked = quat_from_rotation(rs.reshape(20, 20, 3, 3)).reshape(-1, 4)
+        for r, q in zip(rs, stacked):
+            assert np.array_equal(q, quat_from_rotation(r))
+            assert np.array_equal(q, self._scalar_shepperd(r))
+
 
 class TestTrajectory:
     def test_straight_line_spacing(self):

@@ -25,6 +25,7 @@ from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
 from .window import SlidingWindow, sensor_poses
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
                         gauss_newton_step, rls_update, run)
-from .evaluate import TrajectoryPair, align_rigid, ate, calib_error, classify_frames
+from .evaluate import (ate, calib_error, class_counts, evaluation_report,
+                       per_frame_errors)
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@ building, online estimation, and evaluation.
 
 Every subcommand validates its inputs before creating any output file and
 materializes the scenario it ran with into the output directory
-(`scenario.json`).  The scenario is checked whole when it is loaded, the
-`--seed` override through the same number rule, so nothing is left to check
-before the first write.  Solver settings, the paper's ablations among them,
-come from the scenario's `solver` section alone; `run` and `pipeline` take
-only the run's inputs as flags.
+(`scenario.json`).  An output directory whose `scenario.json` names another
+scenario is refused (exit 2, nothing written), so a directory's files all
+come from the one scenario it records.  The scenario is checked whole when
+it is loaded, the `--seed` override through the same number rule, so
+nothing is left to check before the first write.  Solver settings, the
+paper's ablations among them, come from the scenario's `solver` section
+alone; `run` and `pipeline` take only the run's inputs as flags.
 Exit codes: 0 success, 1 runtime/numeric failure, 2 configuration error.
 """
 
@@ -42,19 +44,30 @@ def _write_json(data: dict, path) -> None:
 
 
 def _load_scenario(args) -> scenario.ScenarioConfig:
+    """The command's scenario.  A `scenario.json` in `--out` that differs
+    from it is refused here, before any work, so that a directory never
+    holds files of two scenarios."""
     if args.seed is not None:
         check_number("--seed", args.seed, integer=True, at_least=0)
     if not args.config:
-        return scenario.reference_config(args.seed if args.seed is not None else 7)
-    config = scenario.load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
+        config = scenario.reference_config(args.seed if args.seed is not None else 7)
+    else:
+        config = scenario.load_config(args.config)
+        if args.seed is not None:
+            config.seed = args.seed
+    path = Path(args.out) / SCENARIO
+    if path.exists() and path.read_text() != scenario.config_json(config):
+        raise ConfigurationError(
+            f"{path} holds another scenario; choose another --out")
     return config
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args, config: scenario.ScenarioConfig) -> Path:
+    """The output directory, made if missing, with the command's
+    `scenario.json` written into it."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    scenario.save_config(config, out / SCENARIO)
     return out
 
 
@@ -63,9 +76,8 @@ def cmd_gen_world(args) -> int:
     model = scenario.field_model(config)
     spec = scenario.grid_spec(config)
     grid = magmap.rasterize(model, **spec)
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     magmap.save_map(grid, out / MAP_TRUE)
-    scenario.save_config(config, out / SCENARIO)
     print(f"world: {grid.nx}x{grid.ny} nodes at {grid.resolution} m -> {out / MAP_TRUE}")
     return 0
 
@@ -90,14 +102,13 @@ def cmd_gen_dataset(args) -> int:
             0.0, config.fingerprints.noise_sigma, size=fields.shape)
     fingerprints = [gpr.Fingerprint(p, b) for p, b in zip(positions, fields)]
 
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     sim.write_dataset(frames, out / DATASET)
     gpr.write_fingerprints_csv(fingerprints, out / FINGERPRINTS)
     _write_json({
         "mode": config.distortion.mode,
         "thetas": [[float(v) for v in c.theta()] for c in calibs],
     }, out / TRUTH)
-    scenario.save_config(config, out / SCENARIO)
     print(f"dataset: {len(frames)} frames, {len(fingerprints)} fingerprints -> {out}")
     return 0
 
@@ -107,9 +118,8 @@ def cmd_build_map(args) -> int:
     fingerprints = gpr.read_fingerprints_csv(args.fingerprints)
     model = gpr.fit(fingerprints, scenario.kernel_params(config))
     grid = gpr.build_grid(model, **scenario.grid_spec(config))
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     magmap.save_map(grid, out / MAP_GPR)
-    scenario.save_config(config, out / SCENARIO)
     print(f"map: fitted {len(fingerprints)} fingerprints -> {out / MAP_GPR}")
     return 0
 
@@ -136,7 +146,7 @@ def cmd_run(args) -> int:
                 c.c @ frame.readings[i] + c.b for i, c in enumerate(calibs)])
 
     output = estimator.run(frames, grid, rig, scenario.solver_config(config))
-    out = _out_dir(args)
+    out = _out_dir(args, config)
     estimator.write_trajectory_csv(output, out / TRAJECTORY)
     estimator.write_theta_trace_csv(output, out / THETA_TRACE)
     _write_json(estimator.summary_dict(output), out / RUN_SUMMARY)
@@ -146,7 +156,6 @@ def cmd_run(args) -> int:
         "truth": str(truth_path) if args.precalibrated else None,
         "precalibrated": bool(args.precalibrated),
     }, out / RUN_CONFIG)
-    scenario.save_config(config, out / SCENARIO)
     print(f"run: {len(frames)} frames, "
           f"{int(output.fallbacks.sum())} fallbacks, "
           f"mean {output.frame_ms.mean():.1f} ms/frame -> {out}")
@@ -191,15 +200,15 @@ def cmd_eval(args) -> int:
     # The ATE of the estimated frames alone, aligned on them.
     estimated = columns["fallback"] == 0
     try:
-        report["ate_m_estimated"] = evaluate.ate(evaluate.pair_from_arrays(
-            columns["t"][estimated], est_p[estimated], ref_t, ref_p),
-            max_dt=max_dt)
+        report["ate_m_estimated"] = evaluate.ate(
+            columns["t"][estimated], est_p[estimated], ref_t, ref_p, max_dt)
     except AlignmentError:
         report["ate_m_estimated"] = None
-    out = run_dir if args.out is None else _out_dir(args)
-    _write_json(report, Path(out) / REPORT)
+    out = run_dir if args.out is None else Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(report, out / REPORT)
     print(f"eval: ATE {report['ate_m']:.3f} m, "
-          f"calib err {report['calib_error_uT']['average']:.3f} uT -> {Path(out) / REPORT}")
+          f"calib err {report['calib_error_uT']['average']:.3f} uT -> {out / REPORT}")
     return 0
 
 

@@ -1,60 +1,52 @@
 """Trajectory and calibration metrics.
 
-ATE is the RMSE of the translational residuals after a rigid (no-scale)
-alignment of the estimated trajectory onto the reference.  Calibration
-error is the plain l2 norm of the difference between 12-vectors, mixing
-the unitless matrix entries with the uT biases by definition.
+Every metric takes plain arrays: estimated timestamps and (T, 3)
+positions, and reference timestamps and positions.  Each estimate is
+matched to its nearest reference sample in time, within `max_dt`.  ATE is
+the RMSE of the translational residuals after a rigid (no-scale) alignment
+of the matched estimates onto the reference.  Calibration error is the
+plain l2 norm of the difference between 12-vectors, mixing the unitless
+matrix entries with the uT biases by definition.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigurationError
-from .geom import RigidTransform
 
 WELL_ESTIMATED_M = 0.3
 FAILED_M = 1.0
 
 
-@dataclass
-class TrajectoryPair:
-    """Estimated and reference positions associated by nearest timestamp."""
+def _associate(est_t, est_p, ref_t, ref_p, max_dt: float) -> tuple:
+    """(est, ref) position arrays of the estimates matched to their
+    nearest reference sample within max_dt.
 
-    est_t: np.ndarray
-    est_p: np.ndarray  # (T, 3)
-    ref_t: np.ndarray
-    ref_p: np.ndarray
-
-    def associated(self, max_dt: float) -> tuple:
-        """(est, ref) position arrays for samples matched within max_dt."""
-        ref_t = np.asarray(self.ref_t, dtype=float)
-        order = np.argsort(ref_t)
-        ref_t_sorted = ref_t[order]
-        idx = np.searchsorted(ref_t_sorted, self.est_t)
-        est, ref = [], []
-        for k, t in enumerate(np.asarray(self.est_t, dtype=float)):
-            best, best_dt = None, max_dt
-            for cand in (idx[k] - 1, idx[k]):
-                if 0 <= cand < len(ref_t_sorted):
-                    dt = abs(ref_t_sorted[cand] - t)
-                    if dt <= best_dt:
-                        best, best_dt = order[cand], dt
-            if best is not None:
-                est.append(self.est_p[k])
-                ref.append(self.ref_p[best])
-        return np.array(est, dtype=float), np.array(ref, dtype=float)
+    A tie goes to the later reference sample in sorted order, and a gap of
+    exactly max_dt is kept; unmatched estimates are dropped.
+    """
+    order = np.argsort(ref_t)
+    ref_sorted = ref_t[order]
+    n = len(ref_sorted)
+    if n == 0:
+        return est_p[:0], ref_p[:0]
+    idx = np.searchsorted(ref_sorted, est_t)
+    before = np.maximum(idx - 1, 0)
+    after = np.minimum(idx, n - 1)
+    dt_before = np.where(idx > 0, np.abs(ref_sorted[before] - est_t), np.inf)
+    dt_after = np.where(idx < n, np.abs(ref_sorted[after] - est_t), np.inf)
+    take_before = dt_before <= max_dt
+    take_after = dt_after <= np.where(take_before, dt_before, max_dt)
+    matched = take_before | take_after
+    nearest = np.where(take_after, after, before)[matched]
+    return est_p[matched], ref_p[order[nearest]]
 
 
-def pair_from_arrays(est_t, est_p, ref_t, ref_p) -> TrajectoryPair:
-    return TrajectoryPair(np.asarray(est_t, float), np.asarray(est_p, float),
-                          np.asarray(ref_t, float), np.asarray(ref_p, float))
-
-
-def _fit_rigid(est: np.ndarray, ref: np.ndarray) -> RigidTransform:
-    """Least-squares rigid transform s minimizing sum ||s(est) - ref||^2
-    over associated (K, 3) position arrays.
+def _fit_rigid(est: np.ndarray, ref: np.ndarray) -> tuple:
+    """(rotation, translation) of the least-squares rigid transform s
+    minimizing sum ||s(est) - ref||^2 over associated (K, 3) position
+    arrays.
 
     Standard SVD construction on centered point sets with a reflection
     guard; requires at least three non-collinear positions.
@@ -73,27 +65,25 @@ def _fit_rigid(est: np.ndarray, ref: np.ndarray) -> RigidTransform:
         d[2, 2] = -1.0
     rotation = u @ d @ vt
     translation = mu_r - rotation @ mu_e
-    return RigidTransform(rotation, translation)
+    return rotation, translation
 
 
-def align_rigid(pair: TrajectoryPair, max_dt: float = 0.05) -> RigidTransform:
-    """Rigid transform aligning the associated estimated positions onto
-    the reference; see _fit_rigid."""
-    return _fit_rigid(*pair.associated(max_dt))
-
-
-def per_frame_errors(pair: TrajectoryPair, max_dt: float = 0.05) -> np.ndarray:
+def per_frame_errors(est_t, est_p, ref_t, ref_p,
+                     max_dt: float = 0.05) -> np.ndarray:
     """Translational error of each associated sample after rigid
     alignment, meters."""
-    est, ref = pair.associated(max_dt)
-    transform = _fit_rigid(est, ref)
-    aligned = est @ transform.rotation.T + transform.translation
+    est, ref = _associate(np.asarray(est_t, float), np.asarray(est_p, float),
+                          np.asarray(ref_t, float), np.asarray(ref_p, float),
+                          max_dt)
+    rotation, translation = _fit_rigid(est, ref)
+    aligned = est @ rotation.T + translation
     return np.linalg.norm(aligned - ref, axis=1)
 
 
-def ate(pair: TrajectoryPair, max_dt: float = 0.05) -> float:
+def ate(est_t, est_p, ref_t, ref_p, max_dt: float = 0.05) -> float:
     """RMSE of translational error after rigid alignment, meters."""
-    return float(np.sqrt(np.mean(per_frame_errors(pair, max_dt)**2)))
+    errors = per_frame_errors(est_t, est_p, ref_t, ref_p, max_dt)
+    return float(np.sqrt(np.mean(errors**2)))
 
 
 def calib_error(theta_e: np.ndarray, theta_g: np.ndarray) -> float:
@@ -102,22 +92,14 @@ def calib_error(theta_e: np.ndarray, theta_g: np.ndarray) -> float:
                                 - np.asarray(theta_g, float)))
 
 
-def classify_frames(errors: np.ndarray) -> list:
-    """Bucket per-frame errors: well (<0.3 m), poor (0.3-1.0 m), failed (>1 m)."""
-    labels = []
-    for e in np.asarray(errors, dtype=float):
-        if e < WELL_ESTIMATED_M:
-            labels.append("well")
-        elif e <= FAILED_M:
-            labels.append("poor")
-        else:
-            labels.append("failed")
-    return labels
-
-
-def class_counts(labels) -> dict:
-    return {name: int(sum(1 for v in labels if v == name))
-            for name in ("well", "poor", "failed")}
+def class_counts(errors) -> dict:
+    """Frames per class: well (< 0.3 m), poor (0.3-1.0 m) and failed
+    (> 1 m, or a NaN error)."""
+    errors = np.asarray(errors, dtype=float)
+    well = int(np.count_nonzero(errors < WELL_ESTIMATED_M))
+    poor = int(np.count_nonzero((errors >= WELL_ESTIMATED_M)
+                                & (errors <= FAILED_M)))
+    return {"well": well, "poor": poor, "failed": errors.size - well - poor}
 
 
 def read_trajectory_csv(path) -> dict:
@@ -137,8 +119,7 @@ def evaluation_report(est_t, est_p, ref_t, ref_p, theta_est, theta_true,
                       mean_frame_ms: float, max_dt: float = 0.05) -> dict:
     """Report dict: ATE, per-sensor and averaged calibration error, class
     counts, timing."""
-    errors = per_frame_errors(pair_from_arrays(est_t, est_p, ref_t, ref_p),
-                              max_dt)
+    errors = per_frame_errors(est_t, est_p, ref_t, ref_p, max_dt)
     per_sensor = [calib_error(e, g) for e, g in zip(theta_est, theta_true)]
     return {
         "ate_m": float(np.sqrt(np.mean(errors**2))),
@@ -146,6 +127,6 @@ def evaluation_report(est_t, est_p, ref_t, ref_p, theta_est, theta_true,
             "per_sensor": [float(v) for v in per_sensor],
             "average": float(np.mean(per_sensor)) if per_sensor else 0.0,
         },
-        "frame_class_counts": class_counts(classify_frames(errors)),
+        "frame_class_counts": class_counts(errors),
         "mean_frame_ms": float(mean_frame_ms),
     }

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTrainingError, check_number
-from .magmap import MagneticGridMap
+from .magmap import MagneticGridMap, grid_nodes
 
 PAD_M = 2.0  # padding of the fingerprints' bounding box, m
 OMEGA_CUTOFF = 5.0  # basis frequencies |w| <= OMEGA_CUTOFF / lengthscale
@@ -295,11 +295,7 @@ def build_grid(model: GprModel, origin, resolution: float, nx: int, ny: int,
                plane_height: float = 0.0) -> MagneticGridMap:
     """Rasterize GP predictions into a dense grid map."""
     origin = np.asarray(origin, dtype=float)
-    xs = origin[0] + resolution * np.arange(nx)
-    ys = origin[1] + resolution * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([gx.ravel(), gy.ravel(),
-                      np.full(nx * ny, float(plane_height))], axis=-1)
+    nodes = grid_nodes(origin, resolution, nx, ny, plane_height)
     values = predict_many(model, nodes).reshape(nx, ny, 3)
     return MagneticGridMap(origin, float(resolution), nx, ny, values,
                            float(plane_height))

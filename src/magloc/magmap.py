@@ -4,7 +4,8 @@ The grid map is the localization reference: a dense 2-D lattice of 3-axis
 field values at a fixed plane height.  Queries between nodes use bilinear
 interpolation; the spatial gradient is the analytic derivative of the same
 bilinear surface, so residuals and Jacobians built from the map are
-mutually consistent.
+mutually consistent.  Both blend the four corners of each query's cell,
+gathered from the values array in one lookup.
 
 Map file format ("MAGMAP01"): 8-byte magic, little-endian f64
 origin_x, origin_y, resolution, plane_height, u32 nx, ny, then nx*ny
@@ -121,6 +122,17 @@ def distance_to_grid_rect(p: np.ndarray, origin, resolution, nx, ny,
     return float(np.sqrt(dx * dx + dy * dy + dz * dz))
 
 
+def grid_nodes(origin, resolution: float, nx: int, ny: int,
+               plane_height: float) -> np.ndarray:
+    """(nx * ny, 3) world positions of the grid nodes, in the row order of
+    a (nx, ny, 3) values array."""
+    xs = origin[0] + resolution * np.arange(nx)
+    ys = origin[1] + resolution * np.arange(ny)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(),
+                     np.full(nx * ny, float(plane_height))], axis=-1)
+
+
 def rasterize(model: FieldModel, origin, resolution: float, nx: int, ny: int,
               plane_height: float = 0.0) -> MagneticGridMap:
     """Sample the field model on a regular grid at the given plane height.
@@ -135,18 +147,18 @@ def rasterize(model: FieldModel, origin, resolution: float, nx: int, ny: int,
         if dist < resolution:
             raise ConfigurationError(
                 f"dipole at {d.position} within one cell of the mapped region")
-    xs = origin[0] + resolution * np.arange(nx)
-    ys = origin[1] + resolution * np.arange(ny)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    nodes = np.stack([gx.ravel(), gy.ravel(),
-                      np.full(nx * ny, float(plane_height))], axis=-1)
+    nodes = grid_nodes(origin, resolution, nx, ny, plane_height)
     values = sample_field_many(model, nodes).reshape(nx, ny, 3)
     return MagneticGridMap(origin, float(resolution), nx, ny, values,
                            float(plane_height))
 
 
-def _cell_coords(grid: MagneticGridMap, points: np.ndarray):
-    """Cell indices and in-cell fractions for (m, 3) query points.
+def _cell_corners(grid: MagneticGridMap, points: np.ndarray):
+    """Corner values and in-cell fractions of the cells holding (m, 3)
+    query points.
+
+    Returns (m, 4, 3) corners at nodes (i, j), (i+1, j), (i, j+1) and
+    (i+1, j+1), gathered with one `take`, and the (m, 1) fractions u, v.
 
     A non-finite coordinate, z included, fails the in-range test and raises
     OutOfMapError like a point off the rectangle.
@@ -161,19 +173,16 @@ def _cell_coords(grid: MagneticGridMap, points: np.ndarray):
     ty = (y - ymin) / grid.resolution
     i = np.minimum(np.floor(tx).astype(int), grid.nx - 2)
     j = np.minimum(np.floor(ty).astype(int), grid.ny - 2)
-    return i, j, tx - i, ty - j
+    ny = grid.ny
+    flat = (i * ny + j)[:, None] + np.array([0, ny, 1, ny + 1])
+    corners = grid.values.reshape(-1, 3).take(flat, axis=0)
+    return corners, (tx - i)[:, None], (ty - j)[:, None]
 
 
 def interpolate_many(grid: MagneticGridMap, points: np.ndarray) -> np.ndarray:
     """Bilinear interpolation for an (m, 3) array of points; z is ignored."""
-    points = np.asarray(points, dtype=float)
-    i, j, u, v = _cell_coords(grid, points)
-    a = grid.values[i, j]
-    b = grid.values[i + 1, j]
-    c = grid.values[i, j + 1]
-    d = grid.values[i + 1, j + 1]
-    u = u[:, None]
-    v = v[:, None]
+    corners, u, v = _cell_corners(grid, np.asarray(points, dtype=float))
+    a, b, c, d = corners.transpose(1, 0, 2)
     return ((1.0 - u) * (1.0 - v) * a + u * (1.0 - v) * b
             + (1.0 - u) * v * c + u * v * d)
 
@@ -186,13 +195,8 @@ def gradient_many(grid: MagneticGridMap, points: np.ndarray) -> np.ndarray:
     and discontinuous across cell boundaries.
     """
     points = np.asarray(points, dtype=float)
-    i, j, u, v = _cell_coords(grid, points)
-    a = grid.values[i, j]
-    b = grid.values[i + 1, j]
-    c = grid.values[i, j + 1]
-    d = grid.values[i + 1, j + 1]
-    u = u[:, None]
-    v = v[:, None]
+    corners, u, v = _cell_corners(grid, points)
+    a, b, c, d = corners.transpose(1, 0, 2)
     ddx = ((1.0 - v) * (b - a) + v * (d - c)) / grid.resolution
     ddy = ((1.0 - u) * (c - a) + u * (d - b)) / grid.resolution
     out = np.zeros(points.shape[:-1] + (3, 3))

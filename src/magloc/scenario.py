@@ -221,10 +221,14 @@ class ScenarioConfig:
             raise ConfigurationError(f"bad scenario config: {exc}") from exc
 
 
+def config_json(config: ScenarioConfig) -> str:
+    """The text save_config writes."""
+    return json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
 def save_config(config: ScenarioConfig, path) -> None:
     with open(path, "w") as f:
-        json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(config_json(config))
 
 
 def load_config(path) -> ScenarioConfig:

@@ -5,6 +5,8 @@ residual and Jacobian; these helpers slice them out of the production
 `_fields_at` and `_jacobian_all`, which evaluate every (entry, sensor)
 pair at once.  The RLS batch oracles build the dense 12-parameter problem
 from `regressor`, apart from the estimator's 4x4 information form.
+`associate_loop` is the per-estimate loop that the vectorized trajectory
+association of `evaluate` must reproduce pair for pair.
 """
 
 import numpy as np
@@ -49,3 +51,29 @@ def node_position(grid, i: int, j: int) -> np.ndarray:
     return np.array([grid.origin[0] + i * grid.resolution,
                      grid.origin[1] + j * grid.resolution,
                      grid.plane_height])
+
+
+def associate_loop(est_t, est_p, ref_t, ref_p, max_dt: float) -> tuple:
+    """(est, ref) position arrays of nearest-timestamp association, one
+    estimate at a time: the oracle of evaluate._associate.
+
+    Each estimate takes the nearer of the reference samples either side of
+    it in sorted order, the later on a tie, if its gap is at most max_dt.
+    """
+    ref_t = np.asarray(ref_t, dtype=float)
+    order = np.argsort(ref_t)
+    ref_t_sorted = ref_t[order]
+    idx = np.searchsorted(ref_t_sorted, est_t)
+    est, ref = [], []
+    for k, t in enumerate(np.asarray(est_t, dtype=float)):
+        best, best_dt = None, max_dt
+        for cand in (idx[k] - 1, idx[k]):
+            if 0 <= cand < len(ref_t_sorted):
+                dt = abs(ref_t_sorted[cand] - t)
+                if dt <= best_dt:
+                    best, best_dt = order[cand], dt
+        if best is not None:
+            est.append(est_p[k])
+            ref.append(ref_p[best])
+    return (np.array(est, dtype=float).reshape(-1, 3),
+            np.array(ref, dtype=float).reshape(-1, 3))

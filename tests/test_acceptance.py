@@ -74,9 +74,8 @@ def dataset(world):
 def run_and_score(world, frames, ref_p, **solver_overrides):
     solver = scenario.solver_config(world.cfg, **solver_overrides)
     out = estimator.run(frames, world.grid_gpr, world.rig, solver)
-    pair = evaluate.pair_from_arrays(out.timestamps, out.positions,
-                                     out.timestamps, ref_p)
-    return out, evaluate.ate(pair), evaluate.per_frame_errors(pair)
+    pair = (out.timestamps, out.positions, out.timestamps, ref_p)
+    return out, evaluate.ate(*pair), evaluate.per_frame_errors(*pair)
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +263,8 @@ def test_criterion_4_clean_fixed_point(world, dataset):
         frames = _map_consistent_frames(world, dataset.poses)
         solver = scenario.solver_config(world.cfg)
         out = estimator.run(frames, world.grid_true, world.rig, solver)
-        pair = evaluate.pair_from_arrays(out.timestamps, out.positions,
-                                         out.timestamps, dataset.ref_p)
-        assert evaluate.ate(pair) < 0.01
+        assert evaluate.ate(out.timestamps, out.positions, out.timestamps,
+                            dataset.ref_p) < 0.01
         assert np.abs(out.final_thetas - identity_theta()).max() < 1e-3
 
         # Literal form (continuous-field readings against the rasterized
@@ -281,10 +279,8 @@ def test_criterion_4_clean_fixed_point(world, dataset):
                                     world.cfg.trajectory.frame_rate, world.rig,
                                     calibs, zero, np.random.default_rng(0))
         out_lit = estimator.run(literal, world.grid_true, world.rig, solver)
-        pair_lit = evaluate.pair_from_arrays(out_lit.timestamps,
-                                             out_lit.positions,
-                                             out_lit.timestamps, dataset.ref_p)
-        assert evaluate.ate(pair_lit) < 0.01
+        assert evaluate.ate(out_lit.timestamps, out_lit.positions,
+                            out_lit.timestamps, dataset.ref_p) < 0.01
         assert np.abs(out_lit.final_thetas - identity_theta()).max() < 0.1
 
 
@@ -345,7 +341,7 @@ def test_criterion_8_robustness_to_initialization(world, dataset):
             calib_err = np.mean([
                 evaluate.calib_error(out.final_thetas[i], calibs[i].theta())
                 for i in range(len(world.rig))])
-            counts = evaluate.class_counts(evaluate.classify_frames(errors))
+            counts = evaluate.class_counts(errors)
             assert calib_err <= 2.5, f"rerun {r}"
             assert ate_value <= 0.2, f"rerun {r}"
             assert counts["well"] >= 0.9 * len(errors), f"rerun {r}"

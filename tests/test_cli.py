@@ -246,10 +246,10 @@ class TestRunAndEval:
         report = json.loads((out / "report.json").read_text())
         cols = evaluate.read_trajectory_csv(out / "trajectory.csv")
         frames = sim.read_dataset(out / "dataset.jsonl")
-        pair = evaluate.pair_from_arrays(
+        ate = evaluate.ate(
             cols["t"], np.stack([cols["px"], cols["py"], cols["pz"]], axis=1),
             [f.t for f in frames], np.stack([f.gt_p for f in frames]))
-        assert report["ate_m"] == pytest.approx(evaluate.ate(pair), abs=1e-12)
+        assert report["ate_m"] == pytest.approx(ate, abs=1e-12)
         summary = json.loads((out / "run_summary.json").read_text())
         assert report["fallback_frames"] == summary["fallback_frames"]
         assert report["fallback_rate"] == summary["fallback_frames"] / len(frames)
@@ -376,11 +376,11 @@ class TestRunAndEval:
         # the run directory records that section; run_config.json holds
         # the run's inputs only.
         _, out = workdir
-        for solver in ({"calibrate": False, "max_alternations": 3},
-                       {"window_m": 0.0}):
+        for k, solver in enumerate(({"calibrate": False, "max_alternations": 3},
+                                    {"window_m": 0.0})):
             path = tmp_path / "ablation.json"
             scenario.save_config(small_config(solver=solver), path)
-            run_out = tmp_path / "ablation_run"
+            run_out = tmp_path / f"ablation_run{k}"
             assert main(["run", "--config", str(path), "--out", str(run_out),
                          "--dataset", str(out / "dataset.jsonl"),
                          "--map", str(out / "map_true.mag")]) == 0
@@ -417,6 +417,32 @@ class TestRunAndEval:
         assert set(a) == set(b)
         for column in set(a) - {"ms"}:
             np.testing.assert_array_equal(a[column], b[column])
+
+    def test_other_scenario_json_refused_before_any_write(self, tmp_path,
+                                                          capsys):
+        # A directory records one scenario: running another into it exits
+        # 2 naming its scenario.json and leaves every file as it was, while
+        # the same scenario may be written again.
+        path = tmp_path / "a.json"
+        scenario.save_config(small_config(), path)
+        out = tmp_path / "ow"
+        for command in ("gen-world", "gen-dataset"):
+            assert main([command, "--config", str(path), "--seed", "7",
+                         "--out", str(out)]) == 0
+        other = tmp_path / "b.json"
+        scenario.save_config(small_config(seed=99,
+                                          solver={"calibrate": False}), other)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        inputs = ["--dataset", str(out / "dataset.jsonl"),
+                  "--map", str(out / "map_true.mag")]
+        assert main(["run", "--config", str(other), "--out", str(out),
+                     *inputs]) == 2
+        assert f"{out / 'scenario.json'} holds another scenario" in \
+            capsys.readouterr().err
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert main(["run", "--config", str(path), "--seed", "7",
+                     "--out", str(out), *inputs]) == 0
+        assert (out / "scenario.json").read_bytes() == before["scenario.json"]
 
     def test_removed_run_flags_exit_2(self, workdir, tmp_path, capsys):
         # Solver settings come from the scenario alone: the old run flags
@@ -637,12 +663,11 @@ class TestPipeline:
         cols = evaluate.read_trajectory_csv(out / "trajectory.csv")
         keep = cols["fallback"] == 0
         frames = sim.read_dataset(out / "dataset.jsonl")
-        pair = evaluate.pair_from_arrays(
+        ate = evaluate.ate(
             cols["t"][keep],
             np.stack([cols["px"], cols["py"], cols["pz"]], axis=1)[keep],
             [f.t for f in frames], np.stack([f.gt_p for f in frames]))
-        assert report["ate_m_estimated"] == pytest.approx(evaluate.ate(pair),
-                                                          abs=1e-12)
+        assert report["ate_m_estimated"] == pytest.approx(ate, abs=1e-12)
         assert report["ate_m_estimated"] != report["ate_m"]
 
     def test_ate_of_estimated_frames_null_when_all_fall_back(self, tmp_path):

@@ -12,8 +12,7 @@ calibration update.
 from .errors import (AlignmentError, ConfigurationError, DatasetSchemaError,
                      DegenerateQueryError, DegenerateTrainingError,
                      MapFormatError, OutOfMapError)
-from .geom import (PoseState, RigidTransform, compose, exp_so3, inverse,
-                   log_so3, rot_z, skew)
+from .geom import PoseState, exp_so3, log_so3, rot_z, skew
 from .magmap import (DipoleSource, FieldModel, MagneticGridMap, dipole_field,
                      gradient_many, interpolate_many, load_map, rasterize,
                      sample_field, save_map)
@@ -22,7 +21,7 @@ from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,
                   generate_trajectory, read_dataset, simulate_odometry,
                   write_dataset)
-from .window import SlidingWindow, sensor_poses
+from .window import SlidingWindow
 from .estimator import (EstimatorOutput, RlsState, SolverConfig, alternate,
                         gauss_newton_step, rls_update, run)
 from .evaluate import (ate, calib_error, class_counts, evaluation_report,

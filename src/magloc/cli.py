@@ -43,6 +43,28 @@ def _write_json(data: dict, path) -> None:
         f.write("\n")
 
 
+def _read_truth(path: Path, n_sensors: int) -> list:
+    """The (12,) true calibrations of a truth file, whose `thetas` must be
+    exactly n_sensors lists of 12 finite numbers; anything else is refused
+    naming the file, before the command writes."""
+    if not path.exists():
+        raise ConfigurationError(f"missing truth file {path}")
+    try:
+        with open(path) as f:
+            data = json.load(f)
+        thetas = data.get("thetas") if isinstance(data, dict) else None
+        if not (isinstance(thetas, list) and len(thetas) == n_sensors
+                and all(isinstance(t, list) and len(t) == 12 for t in thetas)):
+            raise ConfigurationError(
+                f"thetas must be {n_sensors} lists of 12 numbers")
+        for k, theta in enumerate(thetas):
+            for i, value in enumerate(theta):
+                check_number(f"thetas[{k}][{i}]", value)
+    except ValueError as exc:  # bad JSON, or a ConfigurationError above
+        raise ConfigurationError(f"truth file {path}: {exc}") from exc
+    return [np.asarray(t, dtype=float) for t in thetas]
+
+
 def _load_scenario(args) -> scenario.ScenarioConfig:
     """The command's scenario.  A `scenario.json` in `--out` that differs
     from it is refused here, before any work, so that a directory never
@@ -132,18 +154,13 @@ def cmd_run(args) -> int:
 
     truth_path = Path(args.truth) if args.truth else Path(args.dataset).parent / TRUTH
     if args.precalibrated:
-        if not truth_path.exists():
-            raise ConfigurationError(
-                f"--precalibrated needs the truth file {truth_path}")
-        with open(truth_path) as f:
-            thetas = json.load(f)["thetas"]
-        calibs = [CalibrationParams.from_theta(np.asarray(t, float))
-                  for t in thetas]
-        if len(calibs) != frames[0].readings.shape[0]:
-            raise ConfigurationError("truth file sensor count mismatch")
+        calibs = [CalibrationParams.from_theta(t)
+                  for t in _read_truth(truth_path, len(rig))]
+        if frames and len(frames[0].readings) != len(rig):
+            raise ConfigurationError("rig size does not match dataset sensor count")
         for frame in frames:
             frame.readings = np.stack([
-                c.c @ frame.readings[i] + c.b for i, c in enumerate(calibs)])
+                c.c @ b + c.b for c, b in zip(calibs, frame.readings)])
 
     output = estimator.run(frames, grid, rig, scenario.solver_config(config))
     out = _out_dir(args, config)
@@ -179,10 +196,7 @@ def cmd_eval(args) -> int:
         theta_true = [sim.identity_theta() for _ in range(n_sensors)]
     else:
         truth_path = Path(args.truth) if args.truth else Path(args.dataset).parent / TRUTH
-        if not truth_path.exists():
-            raise ConfigurationError(f"missing truth file {truth_path}")
-        with open(truth_path) as f:
-            theta_true = [np.asarray(t, float) for t in json.load(f)["thetas"]]
+        theta_true = _read_truth(truth_path, n_sensors)
 
     est_p = np.stack([columns["px"], columns["py"], columns["pz"]], axis=1)
     ref_t = np.array([f.t for f in frames])

@@ -13,10 +13,20 @@ in all three rows, so the filter keeps one 4x4 normal matrix per sensor
 solution over every frame so far.  It replaces the paper's per-frame
 stochastic-gradient calibration step and seeds the next frame.
 
-The pose block evaluates the map once per iterate.  The calibrated
-readings C b + bias are fixed for the whole block and computed once.  Each
-line-search trial builds its candidate pose exactly as the next iterate
-would be built and keeps the sensor poses, map fields and residual it
+The pose block works in the world frame.  A sensor at world pose
+(R, p) = (R_body S, R_body o + p_body), with S and o its rotation and
+offset in the newest body frame, has the body-frame residual
+r = C b + bias - R^T M(p) = R^T (R_body q - M(p)), where q = S (C b + bias)
+is its calibrated reading turned into the newest body frame.  q is fixed
+while the calibration is, so it is formed once per block, and the block
+minimises the world-frame residual w = R_body q - M(p).  Since R^T R = I,
+|r| = |w|, and with J = R^T G the normal equations J^T J = G^T G and
+J^T r = G^T w are those of the body-frame problem: the steps are the
+same, and no per-sensor rotation is built per iterate.
+
+The pose block evaluates the map once per iterate.  Each line-search
+trial builds its candidate pose exactly as the next iterate would be
+built and keeps the sensor positions, map fields and residual it
 evaluated; the accepted trial becomes the next iterate, so a Gauss-Newton
 step adds only the Jacobian's gradient lookup.  The RLS update takes the
 newest entry's fields from the last iterate, so it needs no lookup of its
@@ -41,7 +51,7 @@ from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError, check
 from .geom import PoseState, boxplus, exp_so3, rot_z  # noqa: F401
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
 from .sim import DatasetFrame, identity_theta
-from .window import SlidingWindow, WindowSnapshot, sensor_poses
+from .window import SlidingWindow, WindowSnapshot
 
 # Number of leading (x, y, yaw) coordinates each state mask solves for;
 # "xy" holds the yaw at the prior.  The pose block solves for all three.
@@ -102,14 +112,12 @@ class SolverConfig:
         return 10.0 * self.meas_sigma * np.sqrt(3.0 * n_sensors * window_len)
 
 
-def _fields_at(snap: WindowSnapshot, x: PoseState, grid: MagneticGridMap):
-    """Sensor poses at the planar pose x, with the world map field M and
-    the body-frame field R^T M at each of them."""
-    rotations, positions = sensor_poses(snap, rot_z(x.orientation[2]),
-                                        x.position)
-    m = interpolate_many(grid, positions.reshape(-1, 3)).reshape(positions.shape)
-    g = np.einsum("...ji,...j->...i", rotations, m)
-    return rotations, positions, m, g
+def _newest_fields(rotations_t: np.ndarray, r_body: np.ndarray,
+                   fields: np.ndarray) -> np.ndarray:
+    """Body-frame fields R^T M (N, 3) of the newest entry's sensors, from
+    the newest row of the window's rotations_t (S^T) and the world-frame
+    fields M (N, 3) under the body rotation r_body: S^T (R_body^T M)."""
+    return np.einsum("nab,nb->na", rotations_t, fields @ r_body)
 
 
 def _pose(position: np.ndarray, yaw: float) -> PoseState:
@@ -118,18 +126,20 @@ def _pose(position: np.ndarray, yaw: float) -> PoseState:
     return PoseState(position, np.array([0.0, 0.0, yaw]))
 
 
-def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
-                  positions: np.ndarray, fields: np.ndarray,
-                  p_body: np.ndarray) -> np.ndarray:
-    """Pose Jacobian blocks for every (entry, sensor), shape (J, N, 3, 3).
+def _jacobian_all(grid: MagneticGridMap, positions: np.ndarray,
+                  fields: np.ndarray, p_body: np.ndarray) -> np.ndarray:
+    """World-frame pose Jacobian blocks for every (entry, sensor), shape
+    (J, N, 3, 3).
 
-    Columns are the derivatives of the residual H theta - R^T M(p) of a
-    sensor at world pose (R, p) in the body's x, y and yaw.  A step
-    (dx, dy) moves every sensor with the body.  A yaw step turns the rig
-    about the vertical through p_body: it moves a sensor by z x (p - p_body)
-    and turns its frame, R^T -> R^T - dyaw R^T [z]x.  So
-        J = -R^T [dM/dx, dM/dy, grad(M) (z x (p - p_body)) - z x M],
-    with M the world-frame field at p (`fields`).
+    The body-frame residual C b + bias - R^T M(p) of a sensor at world pose
+    (R, p) has the derivatives J = R^T G in the body's x, y and yaw.  A
+    step (dx, dy) moves every sensor with the body.  A yaw step turns the
+    rig about the vertical through p_body: it moves a sensor by
+    z x (p - p_body) and turns its frame, R^T -> R^T - dyaw R^T [z]x.  So
+        G = -[dM/dx, dM/dy, grad(M) (z x (p - p_body)) - z x M],
+    with M the world-frame field at p (`fields`).  The pose block pairs G
+    with the world-frame residual R (C b + bias) - M; as R^T R = I, the
+    products G^T G and G^T w equal J^T J and J^T r, so no R^T is applied.
     """
     grads = gradient_many(grid, positions.reshape(-1, 3)).reshape(
         positions.shape + (3,))
@@ -138,7 +148,7 @@ def _jacobian_all(grid: MagneticGridMap, rotations: np.ndarray,
     grads[..., 2] = grads[..., 1] * arm[..., :1] - grads[..., 0] * arm[..., 1:2]
     grads[..., 0, 2] += fields[..., 1]
     grads[..., 1, 2] -= fields[..., 0]
-    return -np.matmul(rotations.swapaxes(-1, -2), grads)
+    return -grads
 
 
 def gauss_newton_step(residual, jacobian, mask: str, damping: float,
@@ -192,20 +202,21 @@ class _Iterate:
     """A pose with everything one map evaluation gives at it."""
 
     x: PoseState
-    rotations: np.ndarray  # (J, N, 3, 3) sensor rotations
     positions: np.ndarray  # (J, N, 3) sensor positions
     fields: np.ndarray  # (J, N, 3) world-frame map field M
-    body_fields: np.ndarray  # (J, N, 3) body-frame map field R^T M
-    residual: np.ndarray  # (J, N, 3)
+    residual: np.ndarray  # (J, N, 3) world-frame residual R_body q - M
     norm: float
 
 
-def _evaluate(snap: WindowSnapshot, pred: np.ndarray, x: PoseState,
+def _evaluate(snap: WindowSnapshot, q: np.ndarray, x: PoseState,
               grid: MagneticGridMap) -> _Iterate:
-    rotations, positions, m, g = _fields_at(snap, x, grid)
-    residual = pred - g
-    return _Iterate(x, rotations, positions, m, g, residual,
-                    float(np.linalg.norm(residual)))
+    r_body = rot_z(x.orientation[2])
+    offsets = snap.offsets
+    positions = ((offsets.reshape(-1, 3) @ r_body.T).reshape(offsets.shape)
+                 + x.position)
+    m = interpolate_many(grid, positions.reshape(-1, 3)).reshape(positions.shape)
+    residual = (q.reshape(-1, 3) @ r_body.T).reshape(q.shape) - m
+    return _Iterate(x, positions, m, residual, float(np.linalg.norm(residual)))
 
 
 def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
@@ -219,18 +230,27 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
     both POSE_TOL_M and POSE_TOL_RAD, or at a stalled line search; the
     returned `alternations` counts the steps taken.
 
-    Each iterate costs one map evaluation.  A line-search trial builds its
-    candidate exactly as the next iterate: p + (dx, dy, 0) and the wrapped
-    yaw + dyaw, turned into a rotation by rot_z.  The accepted trial's
-    fields and residual become the next iterate, so a Gauss-Newton step
-    only adds the Jacobian's gradient lookup, and the returned
+    The residual is the world-frame R_body q - M(p), with q = S (C b +
+    bias) each entry's calibrated reading turned into the newest body
+    frame by S = relR extR: the body-frame residual turned by R = R_body S.
+    As R^T R = I, its norm and normal equations are the body-frame ones,
+    and so are the steps.
+
+    Each iterate costs one map evaluation: the sensor positions, one
+    lookup and one product turning q by R_body.  A line-search trial
+    builds its candidate exactly as the next iterate: p + (dx, dy, 0) and
+    the wrapped yaw + dyaw, turned into a rotation by rot_z.  The accepted
+    trial's fields and residual become the next iterate, so a Gauss-Newton
+    step only adds the Jacobian's gradient lookup, and the returned
     residual_norm and newest_fields are those at the returned pose.
     """
     snap = window.snapshot()
     thetas = np.asarray(thetas, dtype=float).reshape(snap.n_sensors, 12)
-    # Calibrated readings C b + bias, fixed while the calibration is.
+    # Calibrated readings C b + bias, fixed while the calibration is, in
+    # the newest body frame: q = S (C b + bias), with S^T stored.
     pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
                      snap.readings) + thetas[:, 9:]
+    q = np.einsum("jnba,jnb->jna", snap.rotations_t, pred)
 
     stalled = False
     steps = 0
@@ -241,16 +261,15 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
         x_t = _pose(it.x.position + (dx[0], dx[1], 0.0),
                     it.x.orientation[2] + dx[2])
         try:
-            tried.append(_evaluate(snap, pred, x_t, grid))
+            tried.append(_evaluate(snap, q, x_t, grid))
         except OutOfMapError:
             return None
         return tried[-1].norm
 
     try:
-        it = _evaluate(snap, pred, x, grid)
+        it = _evaluate(snap, q, x, grid)
         while steps < config.max_alternations:
-            jac = _jacobian_all(grid, it.rotations, it.positions, it.fields,
-                                it.x.position)
+            jac = _jacobian_all(grid, it.positions, it.fields, it.x.position)
             dx, stalled = gauss_newton_step(
                 it.residual.reshape(-1), jac.reshape(-1, 3),
                 "xyyaw", GN_DAMPING, trial_norm)
@@ -269,7 +288,9 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
     diverged = bool(it.norm > threshold)
     # Entries are oldest first, so the newest frame's sensors are the last row.
     return AlternateResult(x, diverged, stalled, steps, it.norm,
-                           it.body_fields[-1])
+                           _newest_fields(snap.rotations_t[-1],
+                                          rot_z(x.orientation[2]),
+                                          it.fields[-1]))
 
 
 @dataclass
@@ -396,11 +417,11 @@ def run(frames, grid: MagneticGridMap, extrinsics,
             g = result.newest_fields
             if fallback:
                 # The pose block's fields are not at the reference pose.
-                newest = WindowSnapshot(window.readings[-1:],
-                                        window.rotations_t[-1:],
-                                        window.offsets[-1:])
+                r_body = rot_z(x.orientation[2])
                 try:
-                    g = _fields_at(newest, x, grid)[3][0]
+                    m = interpolate_many(grid,
+                                         window.offsets[-1] @ r_body.T + x.position)
+                    g = _newest_fields(window.rotations_t[-1], r_body, m)
                 except OutOfMapError:
                     g = None  # sensors marginally outside: skip this update
             if g is not None:

@@ -1,4 +1,4 @@
-"""Rotation and rigid-transform primitives.
+"""Rotation primitives and the robot pose state.
 
 Orientation is carried as an axis-angle 3-vector (rotation vector) and
 converted to a 3x3 matrix at use sites.  The estimator's state is planar,
@@ -82,37 +82,11 @@ def log_so3(r: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class RigidTransform:
-    """Rotation + translation; maps points as rotation @ p + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    return RigidTransform(a.rotation @ b.rotation,
-                          a.rotation @ b.translation + a.translation)
-
-
-def inverse(a: RigidTransform) -> RigidTransform:
-    rt = a.rotation.T
-    return RigidTransform(rt.copy(), -(rt @ a.translation))
-
-
-@dataclass
 class PoseState:
     """Robot pose: world position and axis-angle orientation."""
 
     position: np.ndarray
     orientation: np.ndarray  # rotation vector, radians
-
-    @staticmethod
-    def identity() -> "PoseState":
-        return PoseState(np.zeros(3), np.zeros(3))
 
     def rotation(self) -> np.ndarray:
         return exp_so3(self.orientation)

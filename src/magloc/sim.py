@@ -215,15 +215,6 @@ def simulate_odometry(poses, noise: NoiseConfig, rng: np.random.Generator) -> li
     return list(zip(dr, dp))
 
 
-def sensor_world_poses(gt_pose: PoseState, extrinsics) -> tuple:
-    """World rotation and position of every sensor at one robot pose."""
-    r_body = gt_pose.rotation()
-    rots = np.stack([r_body @ e.rotation for e in extrinsics])
-    positions = np.stack([r_body @ e.translation + gt_pose.position
-                          for e in extrinsics])
-    return rots, positions
-
-
 def build_dataset(field: FieldModel, poses, frame_rate: float, extrinsics,
                   calibrations, noise: NoiseConfig,
                   rng: np.random.Generator) -> list:

@@ -119,20 +119,3 @@ class SlidingWindow:
             raise ValueError("window is empty")
         return WindowSnapshot(self.readings, self.rotations_t, self.offsets)
 
-
-def sensor_poses(snap: WindowSnapshot, r_body: np.ndarray,
-                 p_body: np.ndarray) -> tuple:
-    """World pose of every (entry, sensor) pair under the body pose
-    (r_body, p_body).
-
-    Returns rotations (J, N, 3, 3) and positions (J, N, 3):
-        R = R_body @ relR @ extR,  p = R_body @ (relp + relR @ extp) + p_body.
-    Each is one matrix product over all pairs.  The rotations are a
-    transposed view of a contiguous stack of R^T, the form the estimator
-    uses.
-    """
-    rot_t = snap.rotations_t
-    rotations_t = (rot_t.reshape(-1, 3) @ r_body.T).reshape(rot_t.shape)
-    offsets = snap.offsets
-    positions = (offsets.reshape(-1, 3) @ r_body.T).reshape(offsets.shape) + p_body
-    return rotations_t.swapaxes(-1, -2), positions

@@ -1,18 +1,68 @@
-"""Per-sensor views of the estimator's batched internals, for oracles.
+"""Oracles and per-sensor views of the estimator's batched internals.
 
 The finite-difference and residual checks compare one sensor's stacked
-residual and Jacobian; these helpers slice them out of the production
-`_fields_at` and `_jacobian_all`, which evaluate every (entry, sensor)
-pair at once.  The RLS batch oracles build the dense 12-parameter problem
-from `regressor`, apart from the estimator's 4x4 information form.
-`associate_loop` is the per-estimate loop that the vectorized trajectory
-association of `evaluate` must reproduce pair for pair.
+body-frame residual and Jacobian.  The estimator solves the pose block in
+the world frame; these helpers build each sensor's rotation R from the
+window (`sensor_poses`) and turn the production world-frame blocks of
+`_jacobian_all` into the body frame with R^T.  The RLS batch oracles build
+the dense 12-parameter problem from `regressor`, apart from the
+estimator's 4x4 information form.  `RigidTransform`, `compose`, `inverse`
+and `sensor_world_poses` are the per-pose geometry that the window and
+simulator tests compose their references from.  `associate_loop` is the
+per-estimate loop that the vectorized trajectory association of
+`evaluate` must reproduce pair for pair.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from magloc.estimator import _fields_at, _jacobian_all
+from magloc.estimator import _jacobian_all
+from magloc.geom import PoseState, rot_z
+from magloc.magmap import interpolate_many
 from magloc.sim import identity_theta
+
+
+@dataclass
+class RigidTransform:
+    """Rotation + translation; maps points as rotation @ p + translation."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    @staticmethod
+    def identity() -> "RigidTransform":
+        return RigidTransform(np.eye(3), np.zeros(3))
+
+
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    return RigidTransform(a.rotation @ b.rotation,
+                          a.rotation @ b.translation + a.translation)
+
+
+def inverse(a: RigidTransform) -> RigidTransform:
+    rt = a.rotation.T
+    return RigidTransform(rt.copy(), -(rt @ a.translation))
+
+
+def sensor_world_poses(gt_pose: PoseState, extrinsics) -> tuple:
+    """World rotation and position of every sensor at one robot pose."""
+    r_body = gt_pose.rotation()
+    rots = np.stack([r_body @ e.rotation for e in extrinsics])
+    positions = np.stack([r_body @ e.translation + gt_pose.position
+                          for e in extrinsics])
+    return rots, positions
+
+
+def sensor_poses(snap, r_body: np.ndarray, p_body: np.ndarray) -> tuple:
+    """World pose of every (entry, sensor) pair of a window snapshot under
+    the body pose (r_body, p_body): rotations (J, N, 3, 3) and positions
+    (J, N, 3),
+        R = R_body @ relR @ extR,  p = R_body @ (relp + relR @ extp) + p_body.
+    """
+    rotations = r_body @ np.swapaxes(snap.rotations_t, -1, -2)
+    positions = snap.offsets @ r_body.T + p_body
+    return rotations, positions
 
 
 def regressor(b) -> np.ndarray:
@@ -30,20 +80,32 @@ def rls_batch(bs, gs, eps: float) -> np.ndarray:
     return np.linalg.solve(normal, rhs)
 
 
-def pose_residual(window, theta, x, grid, sensor: int) -> np.ndarray:
-    """Stacked (3*J,) residual C b + bias - R^T M(p) of one sensor at the
-    planar state x."""
+def _sensor_frame(window, x, grid) -> tuple:
+    """The window's snapshot with the sensor rotations, positions and
+    world-frame map fields of every (entry, sensor) pair at the planar
+    state x."""
     snap = window.snapshot()
-    g = _fields_at(snap, x, grid)[3]
+    rotations, positions = sensor_poses(snap, rot_z(x.orientation[2]),
+                                        x.position)
+    return snap, rotations, positions, interpolate_many(
+        grid, positions.reshape(-1, 3)).reshape(positions.shape)
+
+
+def pose_residual(window, theta, x, grid, sensor: int) -> np.ndarray:
+    """Stacked (3*J,) body-frame residual C b + bias - R^T M(p) of one
+    sensor at the planar state x."""
+    snap, rotations, _, m = _sensor_frame(window, x, grid)
+    g = np.einsum("jba,jb->ja", rotations[:, sensor], m[:, sensor])
     c = np.reshape(theta[:9], (3, 3))
-    return (snap.readings[:, sensor] @ c.T + theta[9:] - g[:, sensor]).ravel()
+    return (snap.readings[:, sensor] @ c.T + theta[9:] - g).ravel()
 
 
 def pose_jacobian(window, x, grid, sensor: int) -> np.ndarray:
-    """Stacked (3*J, 3) pose Jacobian of one sensor; see _jacobian_all."""
-    rotations, positions, m, _ = _fields_at(window.snapshot(), x, grid)
-    return _jacobian_all(grid, rotations, positions, m,
-                         x.position)[:, sensor].reshape(-1, 3)
+    """Stacked (3*J, 3) body-frame pose Jacobian of one sensor: R^T times
+    the world-frame blocks of _jacobian_all."""
+    _, rotations, positions, m = _sensor_frame(window, x, grid)
+    blocks = _jacobian_all(grid, positions, m, x.position)[:, sensor]
+    return (np.swapaxes(rotations[:, sensor], -1, -2) @ blocks).reshape(-1, 3)
 
 
 def node_position(grid, i: int, j: int) -> np.ndarray:

@@ -24,7 +24,7 @@ from magloc.geom import PoseState, exp_so3
 from magloc.sim import CalibrationParams, identity_theta
 from magloc.window import SlidingWindow
 
-from helpers import pose_jacobian, pose_residual, rls_batch
+from helpers import pose_jacobian, pose_residual, rls_batch, sensor_world_poses
 
 
 @contextlib.contextmanager
@@ -245,7 +245,7 @@ def _map_consistent_frames(world, poses):
     frames = []
     for k, pose in enumerate(poses):
         dr, dp = (np.eye(3), np.zeros(3)) if k == 0 else increments[k - 1]
-        rots, positions = sim.sensor_world_poses(pose, world.rig)
+        rots, positions = sensor_world_poses(pose, world.rig)
         env = magmap.interpolate_many(world.grid_true, positions)
         readings = np.stack([rots[i].T @ env[i] for i in range(len(world.rig))])
         frames.append(sim.DatasetFrame(

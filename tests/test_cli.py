@@ -460,6 +460,102 @@ class TestRunAndEval:
             assert f"unrecognized arguments: {' '.join(flag)}" in err
             assert not run_out.exists()
 
+    # Truth files that once scored or precalibrated silently, or failed
+    # with a numpy message: each maps the true thetas to a bad file body.
+    BAD_TRUTH = {
+        # 3 of the 8 sensors: eval scored 3 and exited 0.
+        "three_of_eight": (lambda t: {"thetas": t[:3]},
+                           "thetas must be 8 lists of 12 numbers"),
+        # One number per sensor broadcast to every parameter.
+        "one_number_each": (lambda t: {"thetas": [[0.0]] * 8},
+                            "thetas must be 8 lists of 12 numbers"),
+        "nan": (lambda t: {"thetas": [[float("nan")] + r[1:] for r in t]},
+                "thetas[0][0] must be a finite number"),
+        "bool": (lambda t: {"thetas": t[:2] + [r[:5] + [True] + r[6:]
+                                               for r in t[2:]]},
+                 "thetas[2][5] must be a finite number"),
+        "no_thetas": (lambda t: {"mode": "identity"},
+                      "thetas must be 8 lists of 12 numbers"),
+        "not_json": (lambda t: "oops", "Expecting value"),
+    }
+
+    def _bad_truth(self, tmp_path, out, case):
+        make, message = self.BAD_TRUTH[case]
+        thetas = json.loads((out / "true_calibration.json").read_text())["thetas"]
+        body = make(thetas)
+        path = tmp_path / "bad_truth.json"
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        return path, message
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_bad_truth_eval_exit_2_without_report(self, tmp_path, workdir,
+                                                  capsys, case):
+        # eval takes the sensor count from run_summary.json.
+        config_path, out = workdir
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(out / "map_true.mag")]) == 0
+        before = sorted(f.name for f in run_out.iterdir())
+        bad, message = self._bad_truth(tmp_path, out, case)
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--truth", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"truth file {bad}" in err and message in err
+        assert sorted(f.name for f in run_out.iterdir()) == before
+
+    @pytest.mark.parametrize("case", sorted(BAD_TRUTH))
+    def test_bad_truth_precalibrated_run_exit_2_without_outputs(
+            self, tmp_path, workdir, capsys, case):
+        # run takes the sensor count from the scenario's rig.
+        config_path, out = workdir
+        bad, message = self._bad_truth(tmp_path, out, case)
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(out / "map_true.mag"),
+                     "--precalibrated", "--truth", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"truth file {bad}" in err and message in err
+        assert not run_out.exists()
+
+    @pytest.mark.parametrize("n_sensors", [7, 9])
+    def test_precalibrated_sensor_count_mismatch_exit_2(self, tmp_path, workdir,
+                                                        capsys, n_sensors):
+        # The truth file is read for the scenario's 8-sensor rig; a dataset
+        # of another sensor count is refused, not precalibrated in part.
+        config_path, out = workdir
+        lines = []
+        for line in (out / "dataset.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            record["readings"] = (record["readings"] * 2)[:3 * n_sensors]
+            lines.append(json.dumps(record))
+        other = tmp_path / "other.jsonl"
+        other.write_text("\n".join(lines) + "\n")
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(other), "--map", str(out / "map_true.mag"),
+                     "--precalibrated",
+                     "--truth", str(out / "true_calibration.json")]) == 2
+        assert "rig size does not match" in capsys.readouterr().err
+        assert not run_out.exists()
+
+    def test_precalibrated_empty_dataset_exit_2(self, tmp_path, workdir, capsys):
+        # The sensor count once came from the first frame, so an empty
+        # dataset failed with an IndexError (exit 1) under --precalibrated.
+        config_path, out = workdir
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(empty), "--map", str(out / "map_true.mag"),
+                     "--precalibrated",
+                     "--truth", str(out / "true_calibration.json")]) == 2
+        assert "empty dataset" in capsys.readouterr().err
+        assert not run_out.exists()
+
     def test_precalibrated_flag(self, tmp_path):
         cfg = small_config()
         cfg.noise = {"meas_sigma": 0.0, "odom_trans_sigma": 0.0,

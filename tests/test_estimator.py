@@ -11,11 +11,13 @@ from magloc.geom import PoseState, exp_so3, log_so3, rot_z, skew
 from magloc.magmap import (MagneticGridMap, DipoleSource, FieldModel,
                            interpolate_many, rasterize)
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
-                        build_dataset, default_rig, generate_trajectory,
-                        identity_theta, quat_from_rotation, sample_distortions)
-from magloc.window import SlidingWindow, sensor_poses
+                        SensorExtrinsics, build_dataset, default_rig,
+                        generate_trajectory, identity_theta,
+                        quat_from_rotation, sample_distortions)
+from magloc.window import SlidingWindow
 
-from helpers import pose_jacobian, pose_residual, rls_batch
+from conftest import random_rotation
+from helpers import pose_jacobian, pose_residual, rls_batch, sensor_poses
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -361,20 +363,83 @@ class TestAlternate:
     def test_residual_norm_is_pooled_norm_at_returned_pose(self):
         # The returned norm is the one evaluated at the returned pose, not
         # that of an earlier iterate or of a rejected trial: recomputing
-        # the pooled residual there reproduces it bit for bit.
+        # the pooled world-frame residual R_body q - M there reproduces it
+        # bit for bit.  The body-frame residual C b + bias - R^T M has the
+        # same norm, as R^T R = I.
         grid, w, thetas, x_gt = self._dipole_window()
         snap = w.snapshot()
+        pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
+                         snap.readings) + thetas[:, 9:]
+        q = np.einsum("jnba,jnb->jna", snap.rotations_t, pred)
         for offset in ([0.03, -0.02, 0.02], [-0.06, 0.04, -0.05]):
             cfg = SolverConfig(divergence_residual=np.inf)
             x0 = shifted(x_gt, *offset)
             result = alternate(w, thetas, x0, grid, cfg)
-            rot, pos = sensor_poses(snap, rot_z(result.x.orientation[2]),
-                                    result.x.position)
+            r_body = rot_z(result.x.orientation[2])
+            pos = ((snap.offsets.reshape(-1, 3) @ r_body.T).reshape(
+                snap.offsets.shape) + result.x.position)
             m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
-            g = np.einsum("...ji,...j->...i", rot, m)
-            pred = np.einsum("nab,jnb->jna", thetas[:, :9].reshape(-1, 3, 3),
-                             snap.readings) + thetas[:, 9:]
-            assert result.residual_norm == float(np.linalg.norm(pred - g))
+            world = (q.reshape(-1, 3) @ r_body.T).reshape(q.shape) - m
+            assert result.residual_norm == float(np.linalg.norm(world))
+            rot, _ = sensor_poses(snap, r_body, result.x.position)
+            body = pred - np.einsum("...ji,...j->...i", rot, m)
+            assert (abs(np.linalg.norm(body) - result.residual_norm)
+                    <= 1e-12 * result.residual_norm)
+
+    def test_world_frame_normal_equations_match_body_frame(self, monkeypatch):
+        # The pose block solves with the world-frame residual w = R_body q
+        # - M and blocks G.  At every iterate, G^T G and G^T w equal J^T J
+        # and J^T r of the body-frame residuals and Jacobians, stacked
+        # densely sensor by sensor.  The window turns a corner and every
+        # sensor's extrinsic rotation differs from the identity, so a q
+        # turned by S^T in place of S, or by relR alone, breaks J^T r.
+        captured = []  # (residual, jacobian, step, stalled) per GN step
+        gn_step = estimator.gauss_newton_step
+
+        def recorded(residual, jacobian, mask, damping, trial_norm_fn=None):
+            dx, stalled = gn_step(residual, jacobian, mask, damping,
+                                  trial_norm_fn)
+            captured.append((residual, jacobian, dx, stalled))
+            return dx, stalled
+
+        monkeypatch.setattr(estimator, "gauss_newton_step", recorded)
+        field, grid = dipole_world()
+        rng = np.random.default_rng(11)
+        rig = [SensorExtrinsics(random_rotation(rng), e.translation)
+               for e in default_rig()]
+        calibs = sample_distortions(len(rig), rng)
+        # A right-angle turn at frame 40; the window keeps frames 30-49.
+        poses = generate_trajectory([[1.0, 1.0], [3.0, 1.0], [3.0, 3.0]],
+                                    0.5, 10.0)
+        frames = build_dataset(field, poses, 10.0, rig, calibs, NoiseConfig(),
+                               rng)
+        w = SlidingWindow(1.0, rig)
+        for frame in frames[:50]:
+            w.push(frame)
+        yaws = [f.gt_pose().orientation[2] for f in frames[:50]
+                if f.t in w.timestamps]
+        assert np.ptp(yaws) > 1.5
+        thetas = np.stack([c.theta() for c in calibs])
+        x0 = shifted(frames[49].gt_pose(), 0.04, -0.03, 0.03)
+        alternate(w, thetas, x0, grid, SolverConfig(divergence_residual=np.inf))
+        assert len(captured) > 1
+
+        x = x0
+        for residual, jacobian, dx, stalled in captured:
+            r = np.concatenate([pose_residual(w, thetas[i], x, grid, i)
+                                for i in range(len(rig))])
+            jac = np.vstack([pose_jacobian(w, x, grid, i)
+                             for i in range(len(rig))])
+            # J^T r nears 0 as the steps converge, so it is compared on the
+            # scale |J| |r| of the products it sums.
+            for world, body, scale in (
+                    (jacobian.T @ jacobian, jac.T @ jac, np.linalg.norm(jac)**2),
+                    (jacobian.T @ residual, jac.T @ r,
+                     np.linalg.norm(jac) * np.linalg.norm(r))):
+                assert np.abs(world - body).max() <= 1e-10 * scale
+            if stalled:
+                break
+            x = shifted(x, *dx)
 
     def test_one_map_evaluation_per_iterate(self, monkeypatch):
         # One field lookup for the prior plus one per line-search trial, and

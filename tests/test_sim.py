@@ -8,10 +8,10 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         SensorExtrinsics, build_dataset, default_rig,
                         generate_trajectory,
                         quat_from_rotation, read_dataset, rotation_from_quat,
-                        sample_distortions, sensor_world_poses,
-                        simulate_odometry, write_dataset)
+                        sample_distortions, simulate_odometry, write_dataset)
 
 from conftest import random_rotation
+from helpers import sensor_world_poses
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0, odom_rot_sigma=0.0)
 
@@ -289,7 +289,7 @@ class TestReadings:
         ext = [SensorExtrinsics(np.eye(3), np.zeros(3))]
         calib = CalibrationParams(np.eye(3) * 1.05, np.array([3.0, -2.0, 1.0]))
         noise = NoiseConfig(meas_sigma=0.2)
-        frames = build_dataset(field, [PoseState.identity()] * 10000, 10.0, ext,
+        frames = build_dataset(field, [PoseState(np.zeros(3), np.zeros(3))] * 10000, 10.0, ext,
                                [calib], noise, rng)
         resids = readings_of(frames)[:, 0] @ calib.c.T + calib.b - field.earth_field
         mean = np.abs(np.mean(resids, axis=0))

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magloc.geom import PoseState, RigidTransform, compose, exp_so3, inverse
+from magloc.geom import PoseState, exp_so3
 from magloc.magmap import FieldModel, DipoleSource
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
-                        quat_from_rotation, sensor_world_poses)
-from magloc.window import (STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow,
-                           sensor_poses)
+                        quat_from_rotation)
+from magloc.window import STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow
 
-from helpers import regressor
+from helpers import (RigidTransform, compose, inverse, regressor, sensor_poses,
+                     sensor_world_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -29,7 +29,7 @@ def assert_sensor_poses(w, j, rel_r, rel_p, rig, **tol):
 
 
 def frame_of(t, dr, dp, readings, gt=None):
-    gt = gt or PoseState.identity()
+    gt = gt or PoseState(np.zeros(3), np.zeros(3))
     return DatasetFrame(t=t, odom_dq=quat_from_rotation(dr),
                         odom_dp=np.asarray(dp, float),
                         readings=np.atleast_2d(readings),

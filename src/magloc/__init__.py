@@ -12,10 +12,10 @@ calibration update.
 from .errors import (AlignmentError, ConfigurationError, DatasetSchemaError,
                      DegenerateQueryError, DegenerateTrainingError,
                      MapFormatError, OutOfMapError)
-from .geom import PoseState, exp_so3, log_so3, rot_z, skew
-from .magmap import (DipoleSource, FieldModel, MagneticGridMap, dipole_field,
-                     gradient_many, interpolate_many, load_map, rasterize,
-                     sample_field, save_map)
+from .geom import exp_so3, rot_z, skew
+from .magmap import (DipoleSource, FieldModel, MagneticGridMap, gradient_many,
+                     interpolate_many, load_map, rasterize, sample_field_many,
+                     save_map)
 from .gpr import Fingerprint, GprModel, KernelParams, build_grid, fit, predict_many
 from .sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                   SensorExtrinsics, build_dataset, default_rig,

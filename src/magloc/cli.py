@@ -43,26 +43,49 @@ def _write_json(data: dict, path) -> None:
         f.write("\n")
 
 
-def _read_truth(path: Path, n_sensors: int) -> list:
-    """The (12,) true calibrations of a truth file, whose `thetas` must be
-    exactly n_sensors lists of 12 finite numbers; anything else is refused
-    naming the file, before the command writes."""
+def _check_thetas(key: str, thetas, n_sensors) -> list:
+    """The (12,) calibrations of `thetas`, which must be exactly n_sensors
+    lists of 12 finite numbers."""
+    if not (isinstance(thetas, list) and len(thetas) == n_sensors
+            and all(isinstance(t, list) and len(t) == 12 for t in thetas)):
+        raise ConfigurationError(f"{key} must be {n_sensors} lists of 12 numbers")
+    for k, theta in enumerate(thetas):
+        for i, value in enumerate(theta):
+            check_number(f"{key}[{k}][{i}]", value)
+    return [np.asarray(t, dtype=float) for t in thetas]
+
+
+def _read_json(path: Path, what: str, check):
+    """check(data) of a JSON file's object, or {} for any other JSON value.
+    Bad JSON or a value that check refuses is refused naming the file,
+    before the command writes."""
     if not path.exists():
-        raise ConfigurationError(f"missing truth file {path}")
+        raise ConfigurationError(f"missing {what} {path}")
     try:
         with open(path) as f:
             data = json.load(f)
-        thetas = data.get("thetas") if isinstance(data, dict) else None
-        if not (isinstance(thetas, list) and len(thetas) == n_sensors
-                and all(isinstance(t, list) and len(t) == 12 for t in thetas)):
-            raise ConfigurationError(
-                f"thetas must be {n_sensors} lists of 12 numbers")
-        for k, theta in enumerate(thetas):
-            for i, value in enumerate(theta):
-                check_number(f"thetas[{k}][{i}]", value)
-    except ValueError as exc:  # bad JSON, or a ConfigurationError above
-        raise ConfigurationError(f"truth file {path}: {exc}") from exc
-    return [np.asarray(t, dtype=float) for t in thetas]
+        return check(data if isinstance(data, dict) else {})
+    except ValueError as exc:  # bad JSON, or a ConfigurationError in check
+        raise ConfigurationError(f"{what} {path}: {exc}") from exc
+
+
+def _read_truth(path: Path, n_sensors: int) -> list:
+    """The true calibrations of a truth file's `thetas`."""
+    return _read_json(path, "truth file", lambda data: _check_thetas(
+        "thetas", data.get("thetas"), n_sensors))
+
+
+def _read_summary(path: Path) -> tuple:
+    """(final_thetas, mean_frame_ms) of a run summary, whose `n_sensors`
+    must be a positive integer, `final_thetas` that many lists of 12
+    finite numbers and `mean_frame_ms` a finite number."""
+    def check(data):
+        n_sensors = data.get("n_sensors")
+        check_number("n_sensors", n_sensors, integer=True, at_least=1)
+        check_number("mean_frame_ms", data.get("mean_frame_ms"))
+        return (_check_thetas("final_thetas", data.get("final_thetas"),
+                              n_sensors), data["mean_frame_ms"])
+    return _read_json(path, "run summary", check)
 
 
 def _load_scenario(args) -> scenario.ScenarioConfig:
@@ -107,15 +130,15 @@ def cmd_gen_world(args) -> int:
 def cmd_gen_dataset(args) -> int:
     config = _load_scenario(args)
     model = scenario.field_model(config)
-    poses = sim.generate_trajectory(config.trajectory.waypoints,
-                                    config.trajectory.speed,
-                                    config.trajectory.frame_rate,
-                                    config.trajectory.height)
+    trajectory = sim.generate_trajectory(config.trajectory.waypoints,
+                                         config.trajectory.speed,
+                                         config.trajectory.frame_rate,
+                                         config.trajectory.height)
     rig = scenario.rig(config)
     calibs = scenario.true_calibrations(config)
     noise = scenario.noise_config(config)
     children = scenario.seed_children(config.seed)
-    frames = sim.build_dataset(model, poses, config.trajectory.frame_rate,
+    frames = sim.build_dataset(model, trajectory, config.trajectory.frame_rate,
                                rig, calibs, noise, children[2])
     positions = scenario.fingerprint_positions(config)
     fields = magmap.sample_field_many(model, positions)
@@ -184,14 +207,13 @@ def cmd_eval(args) -> int:
     for name in (TRAJECTORY, RUN_SUMMARY, RUN_CONFIG):
         if not (run_dir / name).exists():
             raise ConfigurationError(f"run directory is missing {name}")
+    final_thetas, mean_frame_ms = _read_summary(run_dir / RUN_SUMMARY)
+    n_sensors = len(final_thetas)
     frames = sim.read_dataset(args.dataset)
     columns = evaluate.read_trajectory_csv(run_dir / TRAJECTORY)
-    with open(run_dir / RUN_SUMMARY) as f:
-        summary = json.load(f)
     with open(run_dir / RUN_CONFIG) as f:
         run_config = json.load(f)
 
-    n_sensors = summary["n_sensors"]
     if run_config.get("precalibrated"):
         theta_true = [sim.identity_theta() for _ in range(n_sensors)]
     else:
@@ -204,9 +226,8 @@ def cmd_eval(args) -> int:
     # Associate within half the dataset's frame period.
     max_dt = float(np.median(np.diff(ref_t))) / 2.0 if len(ref_t) > 1 else 0.05
     report = evaluate.evaluation_report(
-        columns["t"], est_p, ref_t, ref_p,
-        [np.asarray(t, float) for t in summary["final_thetas"]],
-        theta_true, summary["mean_frame_ms"], max_dt=max_dt)
+        columns["t"], est_p, ref_t, ref_p, final_thetas, theta_true,
+        mean_frame_ms, max_dt=max_dt)
     # Fallback frames carry the ground-truth pose, which flatters the ATE.
     fallbacks = int(np.count_nonzero(columns["fallback"]))
     report["fallback_frames"] = fallbacks

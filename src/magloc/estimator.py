@@ -1,7 +1,8 @@
 """Joint pose and calibration estimator.
 
-The robot moves on a floor, so the pose state is planar: x, y and a yaw
-about z; the pose step leaves the propagated height as it is.  Each frame
+The robot moves on a floor, so the pose is planar: a position (3,) and a
+yaw about z, carried as a plain pair; the pose step solves for x, y and
+the yaw and leaves the propagated height as it is.  Each frame
 is one alternation of two blocks.  First the pose (x, y, yaw) is refined
 over the accumulated window by damped Gauss-Newton with every sensor's
 affine calibration held fixed (`alternate`).  Then, with that pose held
@@ -46,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DatasetSchemaError, OutOfMapError, check_number
-# The planar solver calls neither boxplus nor exp_so3; the names stay bound
-# for tools that patch this module's names to trace it.
-from .geom import PoseState, boxplus, exp_so3, rot_z  # noqa: F401
+# boxplus moves the prior between frames.  The solver never calls exp_so3;
+# the name stays bound for tools that patch this module's names to trace it.
+from .geom import boxplus, exp_so3, rot_z, wrap_yaw  # noqa: F401
 from .magmap import MagneticGridMap, gradient_many, interpolate_many
 from .sim import DatasetFrame, identity_theta
 from .window import SlidingWindow, WindowSnapshot
@@ -120,12 +121,6 @@ def _newest_fields(rotations_t: np.ndarray, r_body: np.ndarray,
     return np.einsum("nab,nb->na", rotations_t, fields @ r_body)
 
 
-def _pose(position: np.ndarray, yaw: float) -> PoseState:
-    """Planar pose with orientation (0, 0, yaw), yaw wrapped to (-pi, pi]."""
-    yaw -= 2.0 * math.pi * math.ceil((yaw - math.pi) / (2.0 * math.pi))
-    return PoseState(position, np.array([0.0, 0.0, yaw]))
-
-
 def _jacobian_all(grid: MagneticGridMap, positions: np.ndarray,
                   fields: np.ndarray, p_body: np.ndarray) -> np.ndarray:
     """World-frame pose Jacobian blocks for every (entry, sensor), shape
@@ -187,13 +182,14 @@ def gauss_newton_step(residual, jacobian, mask: str, damping: float,
 
 @dataclass
 class AlternateResult:
-    x: PoseState
+    position: np.ndarray  # (3,)
+    yaw: float
     diverged: bool
     stalled: bool
     alternations: int  # Gauss-Newton steps the pose block took
     residual_norm: float
-    # (N, 3) body-frame map field R^T M of the newest entry's sensors at x;
-    # None when a map query left the mapped region.
+    # (N, 3) body-frame map field R^T M of the newest entry's sensors at
+    # the returned pose; None when a map query left the mapped region.
     newest_fields: np.ndarray | None
 
 
@@ -201,34 +197,36 @@ class AlternateResult:
 class _Iterate:
     """A pose with everything one map evaluation gives at it."""
 
-    x: PoseState
+    position: np.ndarray  # (3,) body position
+    yaw: float
     positions: np.ndarray  # (J, N, 3) sensor positions
     fields: np.ndarray  # (J, N, 3) world-frame map field M
     residual: np.ndarray  # (J, N, 3) world-frame residual R_body q - M
     norm: float
 
 
-def _evaluate(snap: WindowSnapshot, q: np.ndarray, x: PoseState,
-              grid: MagneticGridMap) -> _Iterate:
-    r_body = rot_z(x.orientation[2])
+def _evaluate(snap: WindowSnapshot, q: np.ndarray, position: np.ndarray,
+              yaw: float, grid: MagneticGridMap) -> _Iterate:
+    r_body = rot_z(yaw)
     offsets = snap.offsets
     positions = ((offsets.reshape(-1, 3) @ r_body.T).reshape(offsets.shape)
-                 + x.position)
+                 + position)
     m = interpolate_many(grid, positions.reshape(-1, 3)).reshape(positions.shape)
     residual = (q.reshape(-1, 3) @ r_body.T).reshape(q.shape) - m
-    return _Iterate(x, positions, m, residual, float(np.linalg.norm(residual)))
+    return _Iterate(position, yaw, positions, m, residual,
+                    float(np.linalg.norm(residual)))
 
 
-def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
+def alternate(window: SlidingWindow, thetas, x_prior: tuple,
               grid: MagneticGridMap, config: SolverConfig) -> AlternateResult:
     """Pose block of the alternation: Gauss-Newton on one window.
 
     The calibration `thetas` is held fixed; `run` refines it afterwards
     with the pose held fixed.  Takes up to max_alternations pooled pose
-    steps over (x, y, yaw), starting from the prior's position and yaw =
-    x_prior.orientation[2].  The loop ends at the first accepted step under
-    both POSE_TOL_M and POSE_TOL_RAD, or at a stalled line search; the
-    returned `alternations` counts the steps taken.
+    steps over (x, y, yaw), starting from the prior x_prior = (position,
+    yaw), its yaw wrapped to (-pi, pi].  The loop ends at the first
+    accepted step under both POSE_TOL_M and POSE_TOL_RAD, or at a stalled
+    line search; the returned `alternations` counts the steps taken.
 
     The residual is the world-frame R_body q - M(p), with q = S (C b +
     bias) each entry's calibrated reading turned into the newest body
@@ -254,22 +252,24 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
 
     stalled = False
     steps = 0
-    x = _pose(x_prior.position.copy(), x_prior.orientation[2])
+    position, yaw = np.array(x_prior[0], dtype=float), wrap_yaw(x_prior[1])
     tried = []  # iterates the current step's line search evaluated
 
     def trial_norm(dx):
-        x_t = _pose(it.x.position + (dx[0], dx[1], 0.0),
-                    it.x.orientation[2] + dx[2])
+        # The candidate is the planar increment that boxplus applies, built
+        # inline: perfbench/selftest.py allows at most one boxplus call per
+        # Gauss-Newton step, and a step may take several trials.
         try:
-            tried.append(_evaluate(snap, q, x_t, grid))
+            tried.append(_evaluate(snap, q, it.position + (dx[0], dx[1], 0.0),
+                                   wrap_yaw(it.yaw + dx[2]), grid))
         except OutOfMapError:
             return None
         return tried[-1].norm
 
     try:
-        it = _evaluate(snap, q, x, grid)
+        it = _evaluate(snap, q, position, yaw, grid)
         while steps < config.max_alternations:
-            jac = _jacobian_all(grid, it.positions, it.fields, it.x.position)
+            jac = _jacobian_all(grid, it.positions, it.fields, it.position)
             dx, stalled = gauss_newton_step(
                 it.residual.reshape(-1), jac.reshape(-1, 3),
                 "xyyaw", GN_DAMPING, trial_norm)
@@ -278,18 +278,18 @@ def alternate(window: SlidingWindow, thetas, x_prior: PoseState,
                 break
             it = tried[-1]
             tried.clear()
-            x = it.x
+            position, yaw = it.position, it.yaw
             if math.hypot(dx[0], dx[1]) < POSE_TOL_M and abs(dx[2]) < POSE_TOL_RAD:
                 break
     except OutOfMapError:
-        return AlternateResult(x, True, stalled, steps, np.inf, None)
+        return AlternateResult(position, yaw, True, stalled, steps, np.inf,
+                               None)
 
     threshold = config.divergence_threshold(snap.n_sensors, len(snap))
     diverged = bool(it.norm > threshold)
     # Entries are oldest first, so the newest frame's sensors are the last row.
-    return AlternateResult(x, diverged, stalled, steps, it.norm,
-                           _newest_fields(snap.rotations_t[-1],
-                                          rot_z(x.orientation[2]),
+    return AlternateResult(position, yaw, diverged, stalled, steps, it.norm,
+                           _newest_fields(snap.rotations_t[-1], rot_z(yaw),
                                           it.fields[-1]))
 
 
@@ -336,7 +336,7 @@ def rls_update(state: RlsState, b: np.ndarray, g: np.ndarray) -> RlsState:
 class EstimatorOutput:
     timestamps: np.ndarray  # (T,)
     positions: np.ndarray  # (T, 3)
-    orientations: np.ndarray  # (T, 3) rotation vectors (0, 0, yaw)
+    orientations: np.ndarray  # (T,) yaw
     thetas: np.ndarray  # (T, N, 12) post-filter calibration per frame
     fallbacks: np.ndarray  # (T,) bool
     alternations: np.ndarray  # (T,)
@@ -351,11 +351,13 @@ class EstimatorOutput:
         return self.thetas[-1]
 
 
-def _propagate_prior(x: PoseState, frame: DatasetFrame) -> PoseState:
-    yaw = x.orientation[2]
+def _propagate_prior(position: np.ndarray, yaw: float,
+                     frame: DatasetFrame) -> tuple:
+    """The pose moved by the frame's odometry increment, whose dp is in
+    the previous body frame."""
     dr = frame.odom_rotation()
-    return _pose(x.position + rot_z(yaw) @ frame.odom_dp,
-                 yaw + math.atan2(dr[1, 0], dr[0, 0]))
+    return boxplus(position, yaw, rot_z(yaw) @ frame.odom_dp,
+                   math.atan2(dr[1, 0], dr[0, 0]))
 
 
 def run(frames, grid: MagneticGridMap, extrinsics,
@@ -363,7 +365,7 @@ def run(frames, grid: MagneticGridMap, extrinsics,
     """Online loop over a dataset: propagate, accumulate, alternate, filter.
 
     The prior starts at the first frame's reference pose (relocalization
-    handoff) and is propagated by raw odometry between frames.  Each frame
+    handoff) and is propagated by raw odometry between frames (`boxplus`).  Each frame
     is one alternation: `alternate` refines the pose with the calibration
     fixed, then the RLS filter refines the calibration with that pose
     fixed, exactly (least squares over every frame so far).  This stands
@@ -400,27 +402,27 @@ def run(frames, grid: MagneticGridMap, extrinsics,
     window = SlidingWindow(config.window_m, extrinsics)
     rls = RlsState.identity_init(n=n_sensors)
     thetas = rls.theta  # updated in place, one row per sensor
-    x = frames[0].gt_pose()
+    position, yaw = frames[0].gt_p.copy(), frames[0].gt_yaw()
 
     t_out, pos_out, ori_out, theta_out = [], [], [], []
     fb_out, alt_out, res_out, ms_out = [], [], [], []
     for k, frame in enumerate(frames):
         tic = time.perf_counter()
         if k > 0:
-            x = _propagate_prior(x, frame)
+            position, yaw = _propagate_prior(position, yaw, frame)
         window.push(frame)
-        result = alternate(window, thetas, x, grid, config)
+        result = alternate(window, thetas, (position, yaw), grid, config)
         fallback = result.diverged
-        x = (_pose(frame.gt_p.copy(), frame.gt_pose().orientation[2])
-             if fallback else result.x)
+        position, yaw = ((frame.gt_p.copy(), wrap_yaw(frame.gt_yaw()))
+                         if fallback else (result.position, result.yaw))
         if config.calibrate:
             g = result.newest_fields
             if fallback:
                 # The pose block's fields are not at the reference pose.
-                r_body = rot_z(x.orientation[2])
+                r_body = rot_z(yaw)
                 try:
                     m = interpolate_many(grid,
-                                         window.offsets[-1] @ r_body.T + x.position)
+                                         window.offsets[-1] @ r_body.T + position)
                     g = _newest_fields(window.rotations_t[-1], r_body, m)
                 except OutOfMapError:
                     g = None  # sensors marginally outside: skip this update
@@ -429,8 +431,8 @@ def run(frames, grid: MagneticGridMap, extrinsics,
                     rls_update(rls[i], frame.readings[i], g[i])
         ms_out.append((time.perf_counter() - tic) * 1e3)
         t_out.append(frame.t)
-        pos_out.append(x.position.copy())
-        ori_out.append(x.orientation.copy())
+        pos_out.append(position.copy())
+        ori_out.append(yaw)
         theta_out.append(thetas.copy())
         fb_out.append(fallback)
         alt_out.append(result.alternations)
@@ -440,7 +442,7 @@ def run(frames, grid: MagneticGridMap, extrinsics,
         calib_sigma = config.meas_sigma * np.sqrt(np.diagonal(
             np.linalg.solve(rls.normal, np.eye(4)), axis1=1, axis2=2))
     return EstimatorOutput(
-        np.array(t_out), np.stack(pos_out), np.stack(ori_out),
+        np.array(t_out), np.stack(pos_out), np.array(ori_out),
         np.stack(theta_out), np.array(fb_out, dtype=bool),
         np.array(alt_out), np.array(res_out), np.array(ms_out), calib_sigma)
 
@@ -453,7 +455,7 @@ def write_trajectory_csv(output: EstimatorOutput, path) -> None:
             f.write(",".join([
                 repr(float(output.timestamps[k])),
                 repr(float(p[0])), repr(float(p[1])), repr(float(p[2])),
-                repr(float(output.orientations[k, 2])),
+                repr(float(output.orientations[k])),
                 str(int(output.fallbacks[k])),
                 str(int(output.alternations[k])),
                 repr(float(output.residuals[k])),

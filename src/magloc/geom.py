@@ -1,20 +1,14 @@
-"""Rotation primitives and the robot pose state.
+"""Rotation primitives and the planar pose increment.
 
-Orientation is carried as an axis-angle 3-vector (rotation vector) and
-converted to a 3x3 matrix at use sites.  The estimator's state is planar,
-(x, y, yaw), with the orientation (0, 0, yaw) turned into a matrix by
-rot_z; the SO(3) maps serve dataset quaternions, sensor extrinsics and
-the simulator.  Pose perturbations apply the translation additively in
-the world frame and the rotation as a right-multiplied exponential.
+A pose is a world position (3,) and a yaw about z, carried as plain
+arrays; nothing in the package holds a pose type.  Rotations are 3x3
+matrices: the estimator turns a yaw into one with rot_z, and exp_so3 maps
+the rig's rotation vectors and the simulator's (0, 0, yaw) stacks.
 """
 
-import logging
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Below this angle Rodrigues terms switch to their second-order Taylor
 # expansions to avoid 0/0.
@@ -50,63 +44,13 @@ def exp_so3(phi: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * s + b * (s @ s)
 
 
-def log_so3(r: np.ndarray) -> np.ndarray:
-    """Principal-branch rotation vector of a rotation matrix (norm <= pi)."""
-    r = np.asarray(r, dtype=float)
-    trace = float(np.trace(r))
-    cos_angle = np.clip(0.5 * (trace - 1.0), -1.0, 1.0)
-    angle = float(np.arccos(cos_angle))
-    # sin(angle)-scaled antisymmetric part; valid away from angle ~ pi.
-    w = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    if angle < SMALL_ANGLE:
-        return w
-    if np.pi - angle < 1e-4:
-        # Near the pi branch the antisymmetric part vanishes; recover the
-        # axis from the dominant diagonal of (R + I) / 2 instead.
-        log.debug("log_so3 taking the stabilized pi-branch (angle=%.6f)", angle)
-        diag = np.diag(r)
-        k = int(np.argmax(diag))
-        axis = np.zeros(3)
-        axis[k] = np.sqrt(max(0.0, (diag[k] + 1.0) * 0.5))
-        denom = 2.0 * axis[k]
-        for j in range(3):
-            if j != k:
-                axis[j] = (r[k, j] + r[j, k]) / (2.0 * denom)
-        axis /= np.linalg.norm(axis)
-        # Fix the sign so the result stays consistent with the antisymmetric
-        # part when it has not fully vanished.
-        if np.dot(axis, w) < 0.0:
-            axis = -axis
-        return axis * angle
-    return w * (angle / np.sin(angle))
+def wrap_yaw(yaw: float) -> float:
+    """yaw wrapped to (-pi, pi]."""
+    return yaw - 2.0 * math.pi * math.ceil((yaw - math.pi) / (2.0 * math.pi))
 
 
-@dataclass
-class PoseState:
-    """Robot pose: world position and axis-angle orientation."""
-
-    position: np.ndarray
-    orientation: np.ndarray  # rotation vector, radians
-
-    def rotation(self) -> np.ndarray:
-        return exp_so3(self.orientation)
-
-    def copy(self) -> "PoseState":
-        return PoseState(self.position.copy(), self.orientation.copy())
-
-
-@dataclass
-class PosePerturbation:
-    """Manifold increment [dp, dphi] applied through boxplus."""
-
-    dp: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    dphi: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-
-def boxplus(x: PoseState, dx: PosePerturbation) -> PoseState:
-    """Apply a perturbation: p += dp, R <- R @ exp(dphi), re-encoded."""
-    position = x.position + dx.dp
-    if not np.any(dx.dphi):
-        return PoseState(position, x.orientation.copy())
-    r = x.rotation() @ exp_so3(dx.dphi)
-    return PoseState(position, log_so3(r))
+def boxplus(position: np.ndarray, yaw: float, dp: np.ndarray,
+            dyaw: float) -> tuple:
+    """Planar increment: (position + dp, yaw + dyaw wrapped to (-pi, pi]),
+    with dp in the world frame."""
+    return position + dp, wrap_yaw(yaw + dyaw)

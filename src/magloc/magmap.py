@@ -41,27 +41,10 @@ class FieldModel:
     dipoles: list = field(default_factory=list)
 
 
-def dipole_field(p: np.ndarray, d: DipoleSource) -> np.ndarray:
-    """Field of a point dipole at query point p, in uT."""
-    r = np.asarray(p, dtype=float) - d.position
-    dist = float(np.linalg.norm(r))
-    if dist < MIN_DIPOLE_DISTANCE:
-        raise DegenerateQueryError(
-            f"query within {MIN_DIPOLE_DISTANCE} m of dipole at {d.position}")
-    rhat = r / dist
-    return (3.0 * np.dot(d.moment, rhat) * rhat - d.moment) / dist**3
-
-
-def sample_field(model: FieldModel, p: np.ndarray) -> np.ndarray:
-    """Superposed field (earth + all dipoles) at a point, in uT."""
-    out = np.array(model.earth_field, dtype=float)
-    for d in model.dipoles:
-        out += dipole_field(p, d)
-    return out
-
-
 def sample_field_many(model: FieldModel, points: np.ndarray) -> np.ndarray:
-    """sample_field over an (m, 3) array of points, returning (m, 3)."""
+    """Superposed field (earth + all dipoles) in uT at an (m, 3) array of
+    points, returning (m, 3).  A dipole of moment m at distance r along
+    the unit vector u adds (3 (m . u) u - m) / r^3."""
     points = np.asarray(points, dtype=float)
     out = np.broadcast_to(np.asarray(model.earth_field, dtype=float),
                           points.shape).copy()

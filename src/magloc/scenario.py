@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, check_number
 from .geom import exp_so3
-from .gpr import KernelParams
+from .gpr import PLANE_TOL_M, KernelParams
 from .magmap import DipoleSource, FieldModel, distance_to_grid_rect
 from .sim import (CalibrationParams, NoiseConfig, SensorExtrinsics,
                   default_rig, generate_trajectory, sample_distortions)
@@ -179,13 +179,25 @@ class ScenarioConfig:
         noise_config(self)
         kernel_params(self)
         solver_config(self)
-        n_sensors = len(rig(self))
+        sensors = rig(self)
+        n_sensors = len(sensors)
         n_thetas = len(self.distortion.explicit or ())
         if self.distortion.mode == "explicit" and n_thetas != n_sensors:
             raise ConfigurationError(
                 f"distortion.explicit must hold one theta per rig sensor "
                 f"({n_sensors}), got {n_thetas}")
         t = self.trajectory
+        # The map is one plane and its lookup ignores z, so a sensor off
+        # the plane would read a field the map does not hold.
+        plane = self.world.plane_height
+        for k, sensor in enumerate(sensors):
+            height = t.height + sensor.translation[2]
+            if abs(height - plane) > PLANE_TOL_M:
+                key = ("trajectory.height" if self.rig is None else
+                       f"trajectory.height + rig[{k}].translation[2]")
+                raise ConfigurationError(
+                    f"{key} must equal world.plane_height {plane!r} within "
+                    f"{PLANE_TOL_M} m, got {float(height)!r}")
         xmin, xmax, ymin, ymax = self.world.extent()
         for k, (x, y) in enumerate(t.waypoints):
             if not (xmin <= x <= xmax and ymin <= y <= ymax):
@@ -326,10 +338,10 @@ def coverage_waypoints(config: ScenarioConfig) -> list:
 def fingerprint_positions(config: ScenarioConfig) -> np.ndarray:
     """(m, 3) samples every sample_spacing meters of arc length along the
     coverage path, at plane height."""
-    poses = generate_trajectory(coverage_waypoints(config),
-                                config.fingerprints.sample_spacing, 1.0,
-                                config.world.plane_height)
-    return np.stack([p.position for p in poses])
+    positions, _ = generate_trajectory(coverage_waypoints(config),
+                                       config.fingerprints.sample_spacing, 1.0,
+                                       config.world.plane_height)
+    return positions
 
 
 def reference_config(seed: int = 7) -> ScenarioConfig:

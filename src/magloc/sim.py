@@ -1,5 +1,8 @@
 """Dataset simulator: trajectories, wheel odometry, distorted readings.
 
+A trajectory is a pair of arrays, (T, 3) positions and (T,) yaws about z;
+the body rotations are exp_so3 of the (0, 0, yaw) stack.
+
 Readings are generated by inverting the affine distortion model against
 the true ambient field, so applying the estimated calibration to a
 noiseless reading recovers the field the sensor actually saw.  Noise is
@@ -18,12 +21,13 @@ byte-identical for a seed: a new noise source takes its own generator.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DatasetSchemaError, check_number
-from .geom import PoseState, exp_so3, log_so3
+from .geom import exp_so3
 from .magmap import FieldModel, sample_field_many
 
 
@@ -100,8 +104,11 @@ class DatasetFrame:
     def odom_rotation(self) -> np.ndarray:
         return rotation_from_quat(self.odom_dq)
 
-    def gt_pose(self) -> PoseState:
-        return PoseState(self.gt_p.copy(), log_so3(rotation_from_quat(self.gt_q)))
+    def gt_yaw(self) -> float:
+        """Yaw of the reference rotation, atan2 of its first column, as the
+        estimator reads an odometry increment's yaw."""
+        r = rotation_from_quat(self.gt_q)
+        return math.atan2(r[1, 0], r[0, 0])
 
 
 def quat_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -162,8 +169,9 @@ def sample_distortions(n: int, rng: np.random.Generator,
 
 
 def generate_trajectory(waypoints, speed: float, frame_rate: float,
-                        height: float = 0.0) -> list:
-    """Planar poses along a polyline, yaw tangent to motion.
+                        height: float = 0.0) -> tuple:
+    """Planar poses along a polyline, yaw tangent to motion: (T, 3)
+    positions at the given height and (T,) yaws.
 
     Samples every speed/frame_rate meters of arc length; at a corner the
     sample takes the outgoing segment's heading.
@@ -187,22 +195,30 @@ def generate_trajectory(waypoints, speed: float, frame_rate: float,
     # Outgoing segment: first segment whose far end lies strictly ahead.
     seg = np.searchsorted(cum[1:-1], s, side="right")
     xy = xy[seg] + ((s - cum[seg]) / seg_lens[seg])[:, None] * seg_vecs[seg]
-    yaw = np.arctan2(seg_vecs[:, 1], seg_vecs[:, 0])[seg]
-    return [PoseState(np.array([x, y, height]), np.array([0.0, 0.0, a]))
-            for (x, y), a in zip(xy, yaw)]
+    positions = np.column_stack([xy, np.full(len(xy), float(height))])
+    return positions, np.arctan2(seg_vecs[:, 1], seg_vecs[:, 0])[seg]
 
 
-def simulate_odometry(poses, noise: NoiseConfig, rng: np.random.Generator) -> list:
-    """Noisy body-frame increments (dR, dp) between consecutive poses.
+def _body_rotations(yaws: np.ndarray) -> np.ndarray:
+    """(T, 3, 3) rotations exp_so3((0, 0, yaw)) of a yaw stack."""
+    phi = np.zeros((len(yaws), 3))
+    phi[:, 2] = yaws
+    return exp_so3(phi)
+
+
+def simulate_odometry(trajectory, noise: NoiseConfig,
+                      rng: np.random.Generator) -> list:
+    """Noisy body-frame increments (dR, dp) between consecutive poses of
+    a (positions, yaws) trajectory.
 
     Noise is planar (body x/y translation, yaw rotation) and scales with
     the step length, matching wheel odometry of a ground robot.  It is one
     draw of x, y and yaw for each step of non-zero length, in step order.
     """
-    if len(poses) < 2:
+    positions, yaws = trajectory
+    if len(positions) < 2:
         raise ConfigurationError("need at least two poses")
-    rots = exp_so3(np.stack([p.orientation for p in poses]))
-    positions = np.stack([p.position for p in poses])
+    rots = _body_rotations(yaws)
     back = np.swapaxes(rots[:-1], 1, 2)  # world to previous body frame
     steps = np.diff(positions, axis=0)
     dr, dp = back @ rots[1:], (back @ steps[:, :, None])[:, :, 0]
@@ -215,17 +231,19 @@ def simulate_odometry(poses, noise: NoiseConfig, rng: np.random.Generator) -> li
     return list(zip(dr, dp))
 
 
-def build_dataset(field: FieldModel, poses, frame_rate: float, extrinsics,
-                  calibrations, noise: NoiseConfig,
+def build_dataset(field: FieldModel, trajectory, frame_rate: float,
+                  extrinsics, calibrations, noise: NoiseConfig,
                   rng: np.random.Generator) -> list:
-    """Simulate the full frame sequence for a trajectory, all T frames and
-    N sensors at once: one field evaluation over the (T, N) sensor
-    positions, one batched distortion solve, one (T, N, 3) noise draw."""
+    """Simulate the full frame sequence for a (positions, yaws) trajectory,
+    all T frames and N sensors at once: one field evaluation over the
+    (T, N) sensor positions, one batched distortion solve, one (T, N, 3)
+    noise draw."""
     if len(extrinsics) != len(calibrations):
         raise ConfigurationError("one calibration per sensor required")
-    increments = [(np.eye(3), np.zeros(3))] + simulate_odometry(poses, noise, rng)
-    r_body = exp_so3(np.stack([p.orientation for p in poses]))
-    positions = np.stack([p.position for p in poses])
+    increments = [(np.eye(3), np.zeros(3))] + simulate_odometry(
+        trajectory, noise, rng)
+    positions, yaws = trajectory
+    r_body = _body_rotations(yaws)
     rots = r_body[:, None] @ np.stack([e.rotation for e in extrinsics])
     offsets = np.stack([e.translation for e in extrinsics])[:, :, None]
     sensor_positions = (r_body[:, None] @ offsets)[..., 0] + positions[:, None]
@@ -239,8 +257,8 @@ def build_dataset(field: FieldModel, poses, frame_rate: float, extrinsics,
     dqs = quat_from_rotation(np.stack([dr for dr, _ in increments]))
     gt_qs = quat_from_rotation(r_body)
     return [DatasetFrame(k / frame_rate, dqs[k], dp, readings[k],
-                         pose.position.copy(), gt_qs[k])
-            for k, (pose, (_, dp)) in enumerate(zip(poses, increments))]
+                         p.copy(), gt_qs[k])
+            for k, (p, (_, dp)) in enumerate(zip(positions, increments))]
 
 
 def write_dataset(frames, path) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from magloc.estimator import _jacobian_all
-from magloc.geom import PoseState, rot_z
+from magloc.geom import exp_so3, rot_z
 from magloc.magmap import interpolate_many
 from magloc.sim import identity_theta
 
@@ -45,13 +45,20 @@ def inverse(a: RigidTransform) -> RigidTransform:
     return RigidTransform(rt.copy(), -(rt @ a.translation))
 
 
-def sensor_world_poses(gt_pose: PoseState, extrinsics) -> tuple:
-    """World rotation and position of every sensor at one robot pose."""
-    r_body = gt_pose.rotation()
+def sensor_world_poses(position, yaw: float, extrinsics) -> tuple:
+    """World rotation and position of every sensor at the robot pose
+    (position, yaw), its body rotation exp_so3((0, 0, yaw)) as the
+    simulator builds it."""
+    r_body = exp_so3(np.array([0.0, 0.0, yaw]))
     rots = np.stack([r_body @ e.rotation for e in extrinsics])
-    positions = np.stack([r_body @ e.translation + gt_pose.position
+    positions = np.stack([r_body @ e.translation + position
                           for e in extrinsics])
     return rots, positions
+
+
+def frame_pose(frame) -> tuple:
+    """The reference pose (position, yaw) of a dataset frame."""
+    return frame.gt_p.copy(), frame.gt_yaw()
 
 
 def sensor_poses(snap, r_body: np.ndarray, p_body: np.ndarray) -> tuple:
@@ -80,31 +87,31 @@ def rls_batch(bs, gs, eps: float) -> np.ndarray:
     return np.linalg.solve(normal, rhs)
 
 
-def _sensor_frame(window, x, grid) -> tuple:
+def _sensor_frame(window, position, yaw, grid) -> tuple:
     """The window's snapshot with the sensor rotations, positions and
     world-frame map fields of every (entry, sensor) pair at the planar
-    state x."""
+    pose (position, yaw)."""
     snap = window.snapshot()
-    rotations, positions = sensor_poses(snap, rot_z(x.orientation[2]),
-                                        x.position)
+    rotations, positions = sensor_poses(snap, rot_z(yaw), position)
     return snap, rotations, positions, interpolate_many(
         grid, positions.reshape(-1, 3)).reshape(positions.shape)
 
 
 def pose_residual(window, theta, x, grid, sensor: int) -> np.ndarray:
     """Stacked (3*J,) body-frame residual C b + bias - R^T M(p) of one
-    sensor at the planar state x."""
-    snap, rotations, _, m = _sensor_frame(window, x, grid)
+    sensor at the planar pose x = (position, yaw)."""
+    snap, rotations, _, m = _sensor_frame(window, *x, grid)
     g = np.einsum("jba,jb->ja", rotations[:, sensor], m[:, sensor])
     c = np.reshape(theta[:9], (3, 3))
     return (snap.readings[:, sensor] @ c.T + theta[9:] - g).ravel()
 
 
 def pose_jacobian(window, x, grid, sensor: int) -> np.ndarray:
-    """Stacked (3*J, 3) body-frame pose Jacobian of one sensor: R^T times
-    the world-frame blocks of _jacobian_all."""
-    _, rotations, positions, m = _sensor_frame(window, x, grid)
-    blocks = _jacobian_all(grid, positions, m, x.position)[:, sensor]
+    """Stacked (3*J, 3) body-frame pose Jacobian of one sensor at the
+    planar pose x = (position, yaw): R^T times the world-frame blocks of
+    _jacobian_all."""
+    _, rotations, positions, m = _sensor_frame(window, *x, grid)
+    blocks = _jacobian_all(grid, positions, m, x[0])[:, sensor]
     return (np.swapaxes(rotations[:, sensor], -1, -2) @ blocks).reshape(-1, 3)
 
 

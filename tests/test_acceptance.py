@@ -20,7 +20,7 @@ import pytest
 from magloc import estimator, evaluate, gpr, magmap, scenario, sim
 from magloc.cli import main
 from magloc.estimator import RlsState, rls_update
-from magloc.geom import PoseState, exp_so3
+from magloc.geom import exp_so3
 from magloc.sim import CalibrationParams, identity_theta
 from magloc.window import SlidingWindow
 
@@ -168,9 +168,8 @@ def test_criterion_2_gradient_and_jacobian_checks():
         for _ in range(20):
             grid = _random_piecewise_grid(rng)
             w = _random_window(rng, rig)
-            x = estimator.PoseState(
-                np.array([3.0 + rng.normal() * 0.3, 2.5 + rng.normal() * 0.3, 0.0]),
-                np.array([0.0, 0.0, rng.normal() * 0.5]))
+            x = (np.array([3.0 + rng.normal() * 0.3, 2.5 + rng.normal() * 0.3, 0.0]),
+                 rng.normal() * 0.5)
             sensor = int(rng.integers(len(rig)))
             theta = identity_theta() + rng.normal(size=12) * 0.2
 
@@ -182,10 +181,8 @@ def test_criterion_2_gradient_and_jacobian_checks():
             for k in range(3):
                 vec = np.zeros(3)
                 vec[k] = eps
-                up = PoseState(x.position + (vec[0], vec[1], 0.0),
-                               x.orientation + (0.0, 0.0, vec[2]))
-                dn = PoseState(x.position - (vec[0], vec[1], 0.0),
-                               x.orientation - (0.0, 0.0, vec[2]))
+                up = (x[0] + (vec[0], vec[1], 0.0), x[1] + vec[2])
+                dn = (x[0] - (vec[0], vec[1], 0.0), x[1] - vec[2])
                 fd_j[:, k] = (pose_residual(w, theta, up, grid, sensor)
                               - pose_residual(w, theta, dn, grid,
                                               sensor)) / (2 * eps)
@@ -243,16 +240,16 @@ def _map_consistent_frames(world, poses):
                            odom_rot_sigma=0.0)
     increments = sim.simulate_odometry(poses, zero, np.random.default_rng(0))
     frames = []
-    for k, pose in enumerate(poses):
+    for k, (position, yaw) in enumerate(zip(*poses)):
         dr, dp = (np.eye(3), np.zeros(3)) if k == 0 else increments[k - 1]
-        rots, positions = sensor_world_poses(pose, world.rig)
-        env = magmap.interpolate_many(world.grid_true, positions)
+        rots, sensors = sensor_world_poses(position, yaw, world.rig)
+        env = magmap.interpolate_many(world.grid_true, sensors)
         readings = np.stack([rots[i].T @ env[i] for i in range(len(world.rig))])
         frames.append(sim.DatasetFrame(
             t=k / world.cfg.trajectory.frame_rate,
             odom_dq=sim.quat_from_rotation(dr), odom_dp=dp, readings=readings,
-            gt_p=pose.position.copy(),
-            gt_q=sim.quat_from_rotation(pose.rotation())))
+            gt_p=position.copy(),
+            gt_q=sim.quat_from_rotation(exp_so3(np.array([0.0, 0.0, yaw])))))
     return frames
 
 

@@ -39,6 +39,14 @@ def reference_dipoles_with_first_at(z):
     return dipoles
 
 
+def default_rig_with_z(k, z):
+    """The default rig as scenario entries, sensor k raised to z."""
+    return [{"rotvec": [0.0, 0.0, 0.0],
+             "translation": [float(e.translation[0]), float(e.translation[1]),
+                             z if i == k else 0.0]}
+            for i, e in enumerate(sim.default_rig())]
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "scenario.json"
@@ -521,6 +529,46 @@ class TestRunAndEval:
         assert f"truth file {bad}" in err and message in err
         assert not run_out.exists()
 
+    # Run summaries that once scored fewer sensors, or failed with a bare
+    # KeyError (exit 1): each maps the summary to a bad file body.
+    BAD_SUMMARY = {
+        # 3 of the 8 sensors: eval scored 3 and exited 0.
+        "three_of_eight": (lambda s: dict(s, final_thetas=s["final_thetas"][:3]),
+                           "final_thetas must be 8 lists of 12 numbers"),
+        "no_n_sensors": (lambda s: {k: v for k, v in s.items()
+                                    if k != "n_sensors"},
+                         "n_sensors must be an integer >= 1, got None"),
+        "zero_sensors": (lambda s: dict(s, n_sensors=0, final_thetas=[]),
+                         "n_sensors must be an integer >= 1, got 0"),
+        "nan": (lambda s: dict(s, final_thetas=[[float("nan")] + r[1:]
+                                                for r in s["final_thetas"]]),
+                "final_thetas[0][0] must be a finite number"),
+        "no_mean_frame_ms": (lambda s: {k: v for k, v in s.items()
+                                        if k != "mean_frame_ms"},
+                             "mean_frame_ms must be a finite number"),
+        "not_json": (lambda s: "oops", "Expecting value"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SUMMARY))
+    def test_bad_run_summary_eval_exit_2_without_report(self, tmp_path, workdir,
+                                                        capsys, case):
+        config_path, out = workdir
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(out / "map_true.mag")]) == 0
+        make, message = self.BAD_SUMMARY[case]
+        path = run_out / "run_summary.json"
+        body = make(json.loads(path.read_text()))
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        before = sorted(f.name for f in run_out.iterdir())
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"run summary {path}" in err and message in err
+        assert sorted(f.name for f in run_out.iterdir()) == before
+
     @pytest.mark.parametrize("n_sensors", [7, 9])
     def test_precalibrated_sensor_count_mismatch_exit_2(self, tmp_path, workdir,
                                                         capsys, n_sensors):
@@ -726,6 +774,11 @@ class TestPipeline:
         # the output directory was made, naming no key.
         ("world.dipoles", reference_dipoles_with_first_at(-0.05),
          "world.dipoles[0].position"),
+        # Off the map plane: the map lookup ignores z, so these once ran
+        # to exit 0 with an ATE of 0.357 m and 186 fallbacks.
+        ("trajectory.height", 0.3, "trajectory.height"),
+        ("rig", default_rig_with_z(3, 0.3),
+         "trajectory.height + rig[3].translation[2]"),
     ])
     def test_malformed_value_exit_2_naming_its_key(self, tmp_path, capsys,
                                                    key, value, named):

@@ -7,7 +7,7 @@ from magloc import estimator, scenario
 from magloc.errors import ConfigurationError, DatasetSchemaError
 from magloc.estimator import (RlsState, SolverConfig, alternate,
                               gauss_newton_step, rls_update, run, summary_dict)
-from magloc.geom import PoseState, exp_so3, log_so3, rot_z, skew
+from magloc.geom import exp_so3, rot_z, skew
 from magloc.magmap import (MagneticGridMap, DipoleSource, FieldModel,
                            interpolate_many, rasterize)
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
@@ -17,16 +17,17 @@ from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
 from magloc.window import SlidingWindow
 
 from conftest import random_rotation
-from helpers import pose_jacobian, pose_residual, rls_batch, sensor_poses
+from helpers import (frame_pose, pose_jacobian, pose_residual, rls_batch,
+                     sensor_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
 
 
 def shifted(x, dx=0.0, dy=0.0, dyaw=0.0):
-    """Planar pose x moved by (dx, dy) and turned by dyaw about z."""
-    return PoseState(x.position + np.array([dx, dy, 0.0]),
-                     np.array([0.0, 0.0, x.orientation[2] + dyaw]))
+    """Planar pose x = (position, yaw) moved by (dx, dy) and turned by
+    dyaw about z."""
+    return x[0] + np.array([dx, dy, 0.0]), x[1] + dyaw
 
 
 def wrapped(angle):
@@ -51,18 +52,18 @@ def affine_frames(a, c, poses, rig, calibs, frame_rate=10.0):
     from magloc.sim import simulate_odometry
     increments = simulate_odometry(poses, ZERO_NOISE, np.random.default_rng(0))
     frames = []
-    for k, pose in enumerate(poses):
+    for k, (position, yaw) in enumerate(zip(*poses)):
         dr, dp = (np.eye(3), np.zeros(3)) if k == 0 else increments[k - 1]
-        r_body = pose.rotation()
+        r_body = exp_so3(np.array([0.0, 0.0, yaw]))
         readings = []
         for ext, calib in zip(rig, calibs):
             rot = r_body @ ext.rotation
-            pos = r_body @ ext.translation + pose.position
+            pos = r_body @ ext.translation + position
             env = rot.T @ (a @ pos + c)
             readings.append(np.linalg.solve(calib.c, env - calib.b))
         frames.append(DatasetFrame(
             t=k / frame_rate, odom_dq=quat_from_rotation(dr), odom_dp=dp,
-            readings=np.stack(readings), gt_p=pose.position.copy(),
+            readings=np.stack(readings), gt_p=position.copy(),
             gt_q=quat_from_rotation(r_body)))
     return frames
 
@@ -81,7 +82,7 @@ def affine_setup(rng, distorted=True, n_frames=8, window_m=0.4):
     w = SlidingWindow(window_m, rig)
     for frame in frames[:n_frames]:
         w.push(frame)
-    x_gt = frames[n_frames - 1].gt_pose()
+    x_gt = frame_pose(frames[n_frames - 1])
     return a, c, grid, rig, calibs, frames, w, x_gt
 
 
@@ -101,7 +102,7 @@ class TestPoseResidual:
         r0 = pose_residual(w, calibs[sensor].theta(), x_gt, grid, sensor)
         x1 = shifted(x_gt, dx=dp[0])
         r1 = pose_residual(w, calibs[sensor].theta(), x1, grid, sensor)
-        rot, _ = sensor_poses(snap, rot_z(x_gt.orientation[2]), x_gt.position)
+        rot, _ = sensor_poses(snap, rot_z(x_gt[1]), x_gt[0])
         predicted = np.concatenate([
             -(rot[j, sensor].T @ a @ dp) for j in range(len(snap))])
         np.testing.assert_allclose(r1 - r0, predicted, atol=1e-9)
@@ -134,14 +135,14 @@ class TestPoseJacobian:
         _, grid = affine_grid(np.zeros((3, 3)), np.array([30.0, -10.0, 20.0]))
         rig = [type(default_rig()[0])(np.eye(3), np.zeros(3))]
         w = SlidingWindow(0.4, rig)
-        x = PoseState(np.array([2.0, 2.0, 0.0]), np.array([0, 0, 0.6]))
+        x = (np.array([2.0, 2.0, 0.0]), 0.6)
         w.push(DatasetFrame(0.0, np.array([1.0, 0, 0, 0]), np.zeros(3),
-                            np.zeros((1, 3)), x.position,
-                            quat_from_rotation(x.rotation())))
+                            np.zeros((1, 3)), x[0],
+                            quat_from_rotation(rot_z(x[1]))))
         jac = pose_jacobian(w, x, grid, 0)
         assert jac.shape == (3, 3)
         np.testing.assert_allclose(jac[:, :2], 0.0, atol=1e-12)
-        rtm = x.rotation().T @ np.array([30.0, -10.0, 20.0])
+        rtm = rot_z(x[1]).T @ np.array([30.0, -10.0, 20.0])
         np.testing.assert_allclose(jac[:, 2], -skew(rtm)[:, 2], atol=1e-10)
 
     def test_matches_planar_finite_differences(self, rng):
@@ -265,26 +266,26 @@ class TestSolverConfig:
 
 class TestPropagatePrior:
     def test_matches_so3_composition(self, rng):
-        # Oracle: the rotation-vector path the planar update replaces,
-        # position p + R dp and orientation log(R dR), over yaw-only
-        # increments including turns across +-pi.
+        # Oracle: the composed rotation R dR, position p + R dp and the
+        # yaw atan2 of R dR's first column, over yaw-only increments
+        # including turns across +-pi.
         for _ in range(200):
             yaw = rng.uniform(-np.pi, np.pi)
-            x = PoseState(rng.normal(size=3), np.array([0.0, 0.0, yaw]))
+            position = rng.normal(size=3)
             dr = exp_so3(np.array([0.0, 0.0, rng.normal() * 1.5]))
             dp = rng.normal(size=3) * 0.1
             frame = DatasetFrame(0.0, quat_from_rotation(dr), dp,
                                  np.zeros((1, 3)), np.zeros(3),
                                  np.array([1.0, 0.0, 0.0, 0.0]))
-            out = estimator._propagate_prior(x, frame)
-            r = exp_so3(x.orientation)
-            np.testing.assert_allclose(out.position, x.position + r @ dp,
+            out_p, out_yaw = estimator._propagate_prior(position, yaw, frame)
+            r = exp_so3(np.array([0.0, 0.0, yaw]))
+            np.testing.assert_allclose(out_p, position + r @ dp,
                                        rtol=0, atol=1e-12)
-            expected = log_so3(r @ frame.odom_rotation())
-            assert np.array_equal(out.orientation[:2], [0.0, 0.0])
-            assert abs(wrapped(out.orientation[2] - expected[2])) < 1e-12
-            assert np.abs(expected[:2]).max() < 1e-12
-            assert -np.pi < out.orientation[2] <= np.pi
+            composed = r @ frame.odom_rotation()
+            expected = math.atan2(composed[1, 0], composed[0, 0])
+            assert abs(wrapped(out_yaw - expected)) < 1e-12
+            assert abs(composed[2, 2] - 1.0) < 1e-12
+            assert -np.pi < out_yaw <= np.pi
 
 
 class TestAlternate:
@@ -295,7 +296,7 @@ class TestAlternate:
         result = alternate(w, thetas, x_gt, grid, cfg)
         assert not result.diverged
         assert result.alternations == 1
-        assert (np.linalg.norm(result.x.position - x_gt.position)
+        assert (np.linalg.norm(result.position - x_gt[0])
                 < estimator.POSE_TOL_M)
 
     def test_recovers_pose_offset(self, rng):
@@ -307,7 +308,7 @@ class TestAlternate:
         x0 = shifted(x_gt, 0.05, -0.04, 0.03)
         result = alternate(w, thetas, x0, grid, cfg)
         assert not result.diverged
-        assert np.linalg.norm(result.x.position - x_gt.position) < 2e-3
+        assert np.linalg.norm(result.position - x_gt[0]) < 2e-3
 
     def test_constant_map_stalls_gracefully(self, rng):
         _, grid = affine_grid(np.zeros((3, 3)), np.array([25.0, 0.0, -40.0]))
@@ -321,7 +322,7 @@ class TestAlternate:
             w.push(frame)
         cfg = SolverConfig()
         thetas = np.stack([identity_theta() for _ in rig])
-        result = alternate(w, thetas, frames[5].gt_pose(), grid, cfg)
+        result = alternate(w, thetas, frame_pose(frames[5]), grid, cfg)
         assert result.stalled
         assert not result.diverged
 
@@ -339,9 +340,8 @@ class TestAlternate:
             w_p.push(DatasetFrame(frame.t, frame.odom_dq, frame.odom_dp,
                                   frame.readings[perm], frame.gt_p, frame.gt_q))
         permuted = alternate(w_p, thetas, x0, grid, cfg)
-        np.testing.assert_allclose(permuted.x.position, base.x.position, atol=1e-10)
-        np.testing.assert_allclose(permuted.x.orientation, base.x.orientation,
-                                   atol=1e-10)
+        np.testing.assert_allclose(permuted.position, base.position, atol=1e-10)
+        np.testing.assert_allclose(permuted.yaw, base.yaw, atol=1e-10)
 
     @staticmethod
     def _dipole_window(n_frames=30, window_m=1.0):
@@ -358,7 +358,7 @@ class TestAlternate:
         for frame in frames[:n_frames]:
             w.push(frame)
         thetas = np.stack([c.theta() for c in calibs])
-        return grid, w, thetas, frames[n_frames - 1].gt_pose()
+        return grid, w, thetas, frame_pose(frames[n_frames - 1])
 
     def test_residual_norm_is_pooled_norm_at_returned_pose(self):
         # The returned norm is the one evaluated at the returned pose, not
@@ -375,13 +375,13 @@ class TestAlternate:
             cfg = SolverConfig(divergence_residual=np.inf)
             x0 = shifted(x_gt, *offset)
             result = alternate(w, thetas, x0, grid, cfg)
-            r_body = rot_z(result.x.orientation[2])
+            r_body = rot_z(result.yaw)
             pos = ((snap.offsets.reshape(-1, 3) @ r_body.T).reshape(
-                snap.offsets.shape) + result.x.position)
+                snap.offsets.shape) + result.position)
             m = interpolate_many(grid, pos.reshape(-1, 3)).reshape(pos.shape)
             world = (q.reshape(-1, 3) @ r_body.T).reshape(q.shape) - m
             assert result.residual_norm == float(np.linalg.norm(world))
-            rot, _ = sensor_poses(snap, r_body, result.x.position)
+            rot, _ = sensor_poses(snap, r_body, result.position)
             body = pred - np.einsum("...ji,...j->...i", rot, m)
             assert (abs(np.linalg.norm(body) - result.residual_norm)
                     <= 1e-12 * result.residual_norm)
@@ -416,11 +416,10 @@ class TestAlternate:
         w = SlidingWindow(1.0, rig)
         for frame in frames[:50]:
             w.push(frame)
-        yaws = [f.gt_pose().orientation[2] for f in frames[:50]
-                if f.t in w.timestamps]
+        yaws = [f.gt_yaw() for f in frames[:50] if f.t in w.timestamps]
         assert np.ptp(yaws) > 1.5
         thetas = np.stack([c.theta() for c in calibs])
-        x0 = shifted(frames[49].gt_pose(), 0.04, -0.03, 0.03)
+        x0 = shifted(frame_pose(frames[49]), 0.04, -0.03, 0.03)
         alternate(w, thetas, x0, grid, SolverConfig(divergence_residual=np.inf))
         assert len(captured) > 1
 
@@ -556,10 +555,10 @@ class TestAlternate:
         grid, w, thetas, x_gt = self._dipole_window()
         result = alternate(w, thetas, shifted(x_gt, 0.03, -0.02, 0.02), grid,
                            SolverConfig(divergence_residual=np.inf))
-        r_body = rot_z(result.x.orientation[2])
+        r_body = rot_z(result.yaw)
         for i, ext in enumerate(default_rig()):
             rot = r_body @ ext.rotation
-            pos = r_body @ ext.translation + result.x.position
+            pos = r_body @ ext.translation + result.position
             m = interpolate_many(grid, pos[None])[0]
             np.testing.assert_allclose(result.newest_fields[i], rot.T @ m,
                                        rtol=0, atol=1e-10)
@@ -568,7 +567,7 @@ class TestAlternate:
         _, _, grid, rig, calibs, _, w, x_gt = affine_setup(rng, distorted=False)
         cfg = SolverConfig()
         thetas = np.stack([identity_theta() for _ in rig])
-        x_out = PoseState(np.array([100.0, 100.0, 0.0]), np.zeros(3))
+        x_out = (np.array([100.0, 100.0, 0.0]), 0.0)
         result = alternate(w, thetas, x_out, grid, cfg)
         assert result.diverged
 
@@ -797,7 +796,7 @@ class TestRun:
         cols = read_trajectory_csv(tmp_path / "traj.csv")
         assert len(cols["t"]) == len(frames)
         np.testing.assert_array_equal(cols["px"], output.positions[:, 0])
-        np.testing.assert_array_equal(cols["yaw"], output.orientations[:, 2])
+        np.testing.assert_array_equal(cols["yaw"], output.orientations)
         summary = summary_dict(output)
         assert summary["n_frames"] == len(frames)
         assert len(summary["final_thetas"]) == len(rig)

@@ -1,7 +1,6 @@
 import numpy as np
 
-from magloc.geom import (PosePerturbation, PoseState, boxplus, exp_so3,
-                         log_so3, rot_z, skew)
+from magloc.geom import boxplus, exp_so3, rot_z, skew
 
 from conftest import random_rotation
 from helpers import RigidTransform, compose, inverse
@@ -58,30 +57,14 @@ class TestExpLog:
             np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(r) - 1.0) < 1e-9
 
-    def test_log_identity(self):
-        assert np.array_equal(log_so3(np.eye(3)), np.zeros(3))
-
-    def test_log_round_trip(self):
-        phi = np.array([0.1, 0.2, 0.3])
-        np.testing.assert_allclose(log_so3(exp_so3(phi)), phi, atol=1e-10)
-
-    def test_round_trip_many(self, rng):
-        # Principal-branch round trip stays below 1e-8 rad away from pi.
-        worst = 0.0
-        for _ in range(1000):
-            axis = rng.normal(size=3)
-            axis /= np.linalg.norm(axis)
-            phi = axis * rng.uniform(0.0, np.pi - 1e-3)
-            worst = max(worst, np.linalg.norm(log_so3(exp_so3(phi)) - phi))
-        assert worst < 1e-8
-
-    def test_pi_branch(self):
-        phi = log_so3(exp_so3(np.array([np.pi, 0.0, 0.0])))
-        assert np.linalg.norm(np.abs(phi) - [np.pi, 0, 0]) < 1e-6
-
     def test_small_angle(self):
+        # Below SMALL_ANGLE the Taylor terms apply: exp(phi) = I + [phi]x
+        # to second order, alone and inside a stack of larger angles.
         phi = np.array([1e-10, -2e-10, 5e-11])
-        np.testing.assert_allclose(log_so3(exp_so3(phi)), phi, atol=1e-18)
+        expected = np.eye(3) + skew(phi)
+        np.testing.assert_allclose(exp_so3(phi), expected, rtol=0, atol=1e-19)
+        stack = exp_so3(np.stack([phi, [0.0, 0.0, 0.5]]))
+        assert np.array_equal(stack[0], exp_so3(phi))
 
 
 class TestRigidTransform:
@@ -124,33 +107,53 @@ class TestRigidTransform:
 
 
 class TestBoxplus:
+    """The planar increment: a world-frame dp added to the position and a
+    yaw increment added to the yaw, wrapped to (-pi, pi]."""
+
     def test_neutral_element(self, rng):
-        x = PoseState(rng.normal(size=3), rng.normal(size=3))
-        out = boxplus(x, PosePerturbation())
-        np.testing.assert_array_equal(out.position, x.position)
-        np.testing.assert_array_equal(out.orientation, x.orientation)
+        for _ in range(20):
+            position, yaw = rng.normal(size=3), rng.uniform(-np.pi, np.pi)
+            out_p, out_yaw = boxplus(position, yaw, np.zeros(3), 0.0)
+            np.testing.assert_array_equal(out_p, position)
+            assert out_yaw == yaw
 
     def test_pure_translation(self):
-        out = boxplus(PoseState(np.zeros(3), np.zeros(3)),
-                      PosePerturbation(dp=np.array([1.0, 2.0, 3.0])))
-        np.testing.assert_array_equal(out.position, [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(out.orientation, np.zeros(3))
+        # dp is in the world frame: the yaw does not turn it.
+        out_p, out_yaw = boxplus(np.zeros(3), 1.2, np.array([1.0, 2.0, 3.0]),
+                                 0.0)
+        np.testing.assert_array_equal(out_p, [1.0, 2.0, 3.0])
+        assert out_yaw == 1.2
 
     def test_right_perturbation_convention(self, rng):
-        x = PoseState(rng.normal(size=3), rng.normal(size=3))
-        dphi = rng.normal(size=3) * 0.1
-        out = boxplus(x, PosePerturbation(dphi=dphi))
-        np.testing.assert_allclose(out.rotation(), x.rotation() @ exp_so3(dphi),
-                                   atol=1e-10)
+        # Turning by dyaw right-multiplies the body rotation by the
+        # rotation about z, across +-pi included.
+        for yaw in np.concatenate([rng.uniform(-np.pi, np.pi, size=20),
+                                   [np.pi - 0.1, -np.pi + 0.1]]):
+            dyaw = rng.normal() * 0.5
+            _, out = boxplus(np.zeros(3), yaw, np.zeros(3), dyaw)
+            np.testing.assert_allclose(
+                rot_z(out), rot_z(yaw) @ exp_so3(np.array([0.0, 0.0, dyaw])),
+                rtol=0, atol=1e-12)
+
+    def test_wrap_across_pi(self):
+        for yaw, dyaw, expected in ((np.pi - 0.1, 0.3, -np.pi + 0.2),
+                                    (-np.pi + 0.1, -0.3, np.pi - 0.2),
+                                    (np.pi, 0.0, np.pi),
+                                    (-np.pi, 0.0, np.pi),
+                                    (0.5, 4 * np.pi, 0.5)):
+            _, out = boxplus(np.zeros(3), yaw, np.zeros(3), dyaw)
+            assert -np.pi < out <= np.pi
+            assert abs(out - expected) < 1e-12
 
     def test_sequential_vs_composed(self, rng):
-        # Two small perturbations agree with the composed one to O(|dx|^2).
-        for _ in range(10):
-            x = PoseState(rng.normal(size=3), rng.normal(size=3))
-            d1 = rng.normal(size=3) * 1e-4
-            d2 = rng.normal(size=3) * 1e-4
-            seq = boxplus(boxplus(x, PosePerturbation(dphi=d1)),
-                          PosePerturbation(dphi=d2))
-            comp = boxplus(x, PosePerturbation(dphi=d1 + d2))
-            err = np.linalg.norm(seq.rotation() - comp.rotation())
-            assert err < 10.0 * np.linalg.norm(d1) * np.linalg.norm(d2) + 1e-12
+        # Two yaw increments compose to their sum, to rounding, and two
+        # translations to theirs.
+        for _ in range(20):
+            position, yaw = rng.normal(size=3), rng.uniform(-np.pi, np.pi)
+            d1, d2 = rng.normal(size=2) * 2.0
+            p1, p2 = rng.normal(size=3), rng.normal(size=3)
+            seq = boxplus(*boxplus(position, yaw, p1, d1), p2, d2)
+            comp = boxplus(position, yaw, p1 + p2, d1 + d2)
+            np.testing.assert_allclose(seq[0], comp[0], rtol=0, atol=1e-12)
+            diff = seq[1] - comp[1]
+            assert abs(np.angle(np.exp(1j * diff))) < 1e-12

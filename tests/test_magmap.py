@@ -6,11 +6,20 @@ from hypothesis import strategies as st
 from magloc.errors import (ConfigurationError, DegenerateQueryError,
                            MapFormatError, OutOfMapError)
 from magloc.magmap import (DipoleSource, FieldModel, MagneticGridMap,
-                           dipole_field, gradient_many, interpolate_many,
-                           load_map, rasterize, sample_field, sample_field_many,
-                           save_map)
+                           gradient_many, interpolate_many, load_map, rasterize,
+                           sample_field_many, save_map)
 
 from helpers import node_position
+
+
+def field_at(model, p) -> np.ndarray:
+    """The field of model at the one point p: a one-point
+    sample_field_many call."""
+    return sample_field_many(model, np.asarray(p, dtype=float)[None])[0]
+
+
+def dipole_alone(d) -> FieldModel:
+    return FieldModel(np.zeros(3), [d])
 
 
 def affine_model(a, c):
@@ -34,30 +43,30 @@ def affine_map(a, c, origin=(0.0, 0.0), resolution=0.25, nx=9, ny=7, z=0.0):
 class TestDipoleField:
     def test_on_axis(self):
         d = DipoleSource(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(dipole_field(np.array([0, 0, 1.0]), d),
+        np.testing.assert_allclose(field_at(dipole_alone(d), [0, 0, 1.0]),
                                    [0.0, 0.0, 2.0], atol=1e-14)
 
     def test_equatorial(self):
         d = DipoleSource(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(dipole_field(np.array([1.0, 0, 0]), d),
+        np.testing.assert_allclose(field_at(dipole_alone(d), [1.0, 0, 0]),
                                    [0.0, 0.0, -1.0], atol=1e-14)
 
     def test_inverse_cube_decay(self):
         # Direct formula at twice the distance: 2 * m / 2^3 = 0.25.
         d = DipoleSource(np.zeros(3), np.array([0.0, 0.0, 1.0]))
-        np.testing.assert_allclose(dipole_field(np.array([0, 0, 2.0]), d),
+        np.testing.assert_allclose(field_at(dipole_alone(d), [0, 0, 2.0]),
                                    [0.0, 0.0, 0.25], atol=1e-14)
 
     def test_degenerate_query(self):
         d = DipoleSource(np.zeros(3), np.array([0.0, 0.0, 1.0]))
         with pytest.raises(DegenerateQueryError):
-            dipole_field(np.array([0.0, 0.0, 1e-9]), d)
+            field_at(dipole_alone(d), [0.0, 0.0, 1e-9])
 
 
 class TestSampleField:
     def test_no_dipoles(self):
         model = FieldModel(np.array([10.0, -5.0, 40.0]))
-        np.testing.assert_array_equal(sample_field(model, np.zeros(3)),
+        np.testing.assert_array_equal(field_at(model, np.zeros(3)),
                                       [10.0, -5.0, 40.0])
 
     def test_superposition(self, rng):
@@ -66,8 +75,9 @@ class TestSampleField:
         earth = np.array([20.0, 0.0, -40.0])
         model = FieldModel(earth, [d1, d2])
         p = np.array([1.0, 1.0, 0.0])
-        expected = earth + dipole_field(p, d1) + dipole_field(p, d2)
-        np.testing.assert_allclose(sample_field(model, p), expected, atol=1e-12)
+        expected = (earth + field_at(dipole_alone(d1), p)
+                    + field_at(dipole_alone(d2), p))
+        np.testing.assert_allclose(field_at(model, p), expected, atol=1e-12)
 
     def test_many_matches_scalar(self, rng):
         model = FieldModel(np.array([20.0, 0.0, -40.0]),
@@ -76,7 +86,7 @@ class TestSampleField:
         pts = rng.uniform(0, 3, size=(20, 3))
         batch = sample_field_many(model, pts)
         for k in range(20):
-            np.testing.assert_allclose(batch[k], sample_field(model, pts[k]),
+            np.testing.assert_allclose(batch[k], field_at(model, pts[k]),
                                        atol=1e-12)
 
 
@@ -99,7 +109,7 @@ class TestRasterize:
                 p = node_position(grid, i, j)
                 np.testing.assert_array_equal(p, [1.0 + 0.5 * i, 2.0 + 0.5 * j, 0.25])
                 np.testing.assert_allclose(grid.values[i, j],
-                                           sample_field(model, p), atol=1e-12)
+                                           field_at(model, p), atol=1e-12)
 
     def test_dipole_inside_grid_rejected(self):
         model = FieldModel(np.array([20.0, 0.0, -40.0]),

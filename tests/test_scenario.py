@@ -111,3 +111,23 @@ class TestScenarioSchema:
         data["distortion"].update(diag_range=[0.0, 0.0], offdiag_range=[0.0, 0.0])
         with pytest.raises(ConfigurationError, match="calibration is singular"):
             scenario.ScenarioConfig.from_dict(data)
+
+    def test_sensors_on_the_map_plane(self):
+        # The map is one plane and its lookup ignores z: every sensor
+        # height, trajectory.height plus the rig translation's z, must
+        # equal world.plane_height within gpr.PLANE_TOL_M.
+        data = _full_reference()
+        data["world"]["plane_height"] = 0.3
+        data["trajectory"]["height"] = 0.5
+        data["rig"][0]["translation"][2] = -0.2 + 0.5e-6
+        scenario.ScenarioConfig.from_dict(data)
+        data["rig"][0]["translation"][2] = -0.2 + 2e-6
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "trajectory.height + rig[0].translation[2] must equal "
+                "world.plane_height 0.3 within 1e-06 m")):
+            scenario.ScenarioConfig.from_dict(data)
+        data = scenario.reference_config(7).to_dict()
+        data["trajectory"]["height"] = -2e-6
+        with pytest.raises(ConfigurationError, match=re.escape(
+                "trajectory.height must equal world.plane_height 0.0")):
+            scenario.ScenarioConfig.from_dict(data)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from magloc.errors import ConfigurationError, DatasetSchemaError
-from magloc.geom import PoseState, exp_so3
-from magloc.magmap import FieldModel, DipoleSource, sample_field
+from magloc.geom import exp_so3
+from magloc.magmap import FieldModel, DipoleSource, sample_field_many
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         SensorExtrinsics, build_dataset, default_rig,
                         generate_trajectory,
@@ -38,10 +38,11 @@ def per_frame_readings(field, poses, rig, calibs=None):
     the ambient field in each sensor's frame."""
     calibs = calibs or [CalibrationParams.identity()] * len(rig)
     out = []
-    for pose in poses:
-        rots, positions = sensor_world_poses(pose, rig)
-        out.append([np.linalg.solve(c.c, rots[i].T @ sample_field(field, positions[i])
-                                    - c.b) for i, c in enumerate(calibs)])
+    for position, yaw in zip(*poses):
+        rots, positions = sensor_world_poses(position, yaw, rig)
+        out.append([np.linalg.solve(
+            c.c, rots[i].T @ sample_field_many(field, positions[i][None])[0]
+            - c.b) for i, c in enumerate(calibs)])
     return np.array(out)
 
 
@@ -118,33 +119,32 @@ class TestQuaternions:
 
 class TestTrajectory:
     def test_straight_line_spacing(self):
-        poses = generate_trajectory([[0, 0], [1, 0]], speed=1.0, frame_rate=10.0)
-        assert len(poses) == 11
-        for k, pose in enumerate(poses):
-            np.testing.assert_allclose(pose.position, [0.1 * k, 0.0, 0.0],
+        positions, yaws = generate_trajectory([[0, 0], [1, 0]], speed=1.0,
+                                              frame_rate=10.0)
+        assert positions.shape == (11, 3) and yaws.shape == (11,)
+        for k, (position, yaw) in enumerate(zip(positions, yaws)):
+            np.testing.assert_allclose(position, [0.1 * k, 0.0, 0.0],
                                        atol=1e-12)
-            assert pose.orientation[2] == 0.0
+            assert yaw == 0.0
 
     def test_single_segment_constant_yaw(self):
-        poses = generate_trajectory([[0, 0], [1, 1]], speed=0.5, frame_rate=5.0)
-        yaws = {float(p.orientation[2]) for p in poses}
-        assert yaws == {np.pi / 4}
+        _, yaws = generate_trajectory([[0, 0], [1, 1]], speed=0.5, frame_rate=5.0)
+        assert set(yaws.tolist()) == {np.pi / 4}
 
     def test_corner_yaw_steps(self):
         # Tangent-direction oracle: the sample at the corner takes the
         # outgoing segment's heading.
-        poses = generate_trajectory([[0, 0], [1, 0], [1, 1]], speed=1.0,
-                                    frame_rate=10.0)
-        s = np.array([np.linalg.norm(p.position[:2] - [0, 0]) for p in poses])
-        for k, pose in enumerate(poses):
+        _, yaws = generate_trajectory([[0, 0], [1, 0], [1, 1]], speed=1.0,
+                                      frame_rate=10.0)
+        for k, yaw in enumerate(yaws):
             arc = 0.1 * k
             expected = 0.0 if arc < 1.0 - 1e-9 else np.pi / 2
-            assert pose.orientation[2] == pytest.approx(expected), k
+            assert yaw == pytest.approx(expected), k
 
     def test_total_length(self):
-        poses = generate_trajectory([[0, 0], [2, 0], [2, 1]], speed=0.7,
-                                    frame_rate=10.0)
-        last = poses[-1].position
+        positions, _ = generate_trajectory([[0, 0], [2, 0], [2, 1]], speed=0.7,
+                                           frame_rate=10.0)
+        last = positions[-1]
         assert np.linalg.norm(last[:2] - [2, 1]) < 0.07 + 1e-9
 
     def test_bad_input(self):
@@ -156,20 +156,22 @@ class TestTrajectory:
 
 class TestOdometry:
     def test_noiseless_chain_reproduces_truth(self, rng):
-        poses = generate_trajectory([[0, 0], [2, 0], [2, 2], [0, 2]], 0.5, 10.0)
-        increments = simulate_odometry(poses, ZERO_NOISE, rng)
-        assert len(increments) == len(poses) - 1
-        p = poses[0].position.copy()
-        r = poses[0].rotation()
-        for (dr, dp), pose in zip(increments, poses[1:]):
+        positions, yaws = generate_trajectory([[0, 0], [2, 0], [2, 2], [0, 2]],
+                                              0.5, 10.0)
+        increments = simulate_odometry((positions, yaws), ZERO_NOISE, rng)
+        assert len(increments) == len(positions) - 1
+        p = positions[0].copy()
+        r = exp_so3(np.array([0.0, 0.0, yaws[0]]))
+        for (dr, dp), position, yaw in zip(increments, positions[1:], yaws[1:]):
             p = p + r @ dp
             r = r @ dr
-            np.testing.assert_allclose(p, pose.position, atol=1e-10)
-            np.testing.assert_allclose(r, pose.rotation(), atol=1e-10)
+            np.testing.assert_allclose(p, position, atol=1e-10)
+            np.testing.assert_allclose(r, exp_so3(np.array([0.0, 0.0, yaw])),
+                                       atol=1e-10)
 
     def test_stationary_identity(self, rng):
-        pose = PoseState(np.array([1.0, 2.0, 0.0]), np.array([0, 0, 0.3]))
-        increments = simulate_odometry([pose, pose.copy()], ZERO_NOISE, rng)
+        still = (np.array([[1.0, 2.0, 0.0]] * 2), np.array([0.3, 0.3]))
+        increments = simulate_odometry(still, ZERO_NOISE, rng)
         dr, dp = increments[0]
         np.testing.assert_allclose(dr, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(dp, np.zeros(3), atol=1e-12)
@@ -252,8 +254,8 @@ class TestReadings:
         # (T, N, 3) reading draw, on the same generator.  Clean datasets
         # stay byte-identical only while this order holds.
         field = simple_field()
-        poses = turning_path()
-        poses.insert(6, poses[5].copy())  # a stationary step draws nothing
+        # A stationary step draws nothing.
+        poses = tuple(np.insert(a, 6, a[5], axis=0) for a in turning_path())
         rig = default_rig()
         calibs = sample_distortions(len(rig), np.random.default_rng(1))
         noise = NoiseConfig(meas_sigma=0.3, odom_trans_sigma=0.02,
@@ -263,12 +265,12 @@ class TestReadings:
         clean = build_dataset(field, poses, 10.0, rig, calibs, ZERO_NOISE,
                               np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        odometry = rng.standard_normal((len(poses) - 2, 3))
-        reading = rng.standard_normal((len(poses), len(rig), 3)) * 0.3
+        odometry = rng.standard_normal((len(poses[0]) - 2, 3))
+        reading = rng.standard_normal((len(poses[0]), len(rig), 3)) * 0.3
         np.testing.assert_allclose(readings_of(noisy) - readings_of(clean),
                                    reading, rtol=0, atol=1e-12)
-        steps = np.array([np.linalg.norm(b.position - a.position)
-                          for a, b in zip(poses[:-1], poses[1:])])
+        steps = np.array([np.linalg.norm(b - a)
+                          for a, b in zip(poses[0][:-1], poses[0][1:])])
         moving = [k + 1 for k, step in enumerate(steps) if step > 0.0]
         assert len(moving) == len(odometry)
         dp = np.stack([noisy[k].odom_dp - clean[k].odom_dp for k in moving])
@@ -289,8 +291,8 @@ class TestReadings:
         ext = [SensorExtrinsics(np.eye(3), np.zeros(3))]
         calib = CalibrationParams(np.eye(3) * 1.05, np.array([3.0, -2.0, 1.0]))
         noise = NoiseConfig(meas_sigma=0.2)
-        frames = build_dataset(field, [PoseState(np.zeros(3), np.zeros(3))] * 10000, 10.0, ext,
-                               [calib], noise, rng)
+        frames = build_dataset(field, (np.zeros((10000, 3)), np.zeros(10000)),
+                               10.0, ext, [calib], noise, rng)
         resids = readings_of(frames)[:, 0] @ calib.c.T + calib.b - field.earth_field
         mean = np.abs(np.mean(resids, axis=0))
         assert np.all(mean <= 0.01)
@@ -318,8 +320,9 @@ class TestReadings:
 class TestDatasetIo:
     def _frames(self, rng, n_frames=20):
         field = simple_field()
-        poses = generate_trajectory([[0.5, 0.5], [3.0, 0.5], [3.0, 2.0]], 0.5, 10.0)
-        poses = poses[:n_frames]
+        positions, yaws = generate_trajectory([[0.5, 0.5], [3.0, 0.5], [3.0, 2.0]],
+                                              0.5, 10.0)
+        poses = positions[:n_frames], yaws[:n_frames]
         rig = default_rig()
         calibs = sample_distortions(len(rig), rng)
         noise = NoiseConfig(meas_sigma=0.2, odom_trans_sigma=0.01,
@@ -399,7 +402,7 @@ class TestDatasetIo:
 
     def test_gt_pose_accessor(self, rng):
         frames = self._frames(rng, n_frames=2)
-        pose = frames[0].gt_pose()
-        np.testing.assert_allclose(pose.position, frames[0].gt_p)
-        np.testing.assert_allclose(exp_so3(pose.orientation),
+        yaw = frames[0].gt_yaw()
+        assert -np.pi <= yaw <= np.pi
+        np.testing.assert_allclose(exp_so3(np.array([0.0, 0.0, yaw])),
                                    rotation_from_quat(frames[0].gt_q), atol=1e-12)

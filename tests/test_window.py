@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magloc.geom import PoseState, exp_so3
+from magloc.geom import exp_so3
 from magloc.magmap import FieldModel, DipoleSource
 from magloc.sim import (CalibrationParams, DatasetFrame, NoiseConfig,
                         build_dataset, default_rig, generate_trajectory,
                         quat_from_rotation)
 from magloc.window import STATIONARY_ROT, STATIONARY_TRANS, SlidingWindow
 
-from helpers import (RigidTransform, compose, inverse, regressor, sensor_poses,
-                     sensor_world_poses)
+from helpers import (RigidTransform, compose, frame_pose, inverse, regressor,
+                     sensor_poses, sensor_world_poses)
 
 ZERO_NOISE = NoiseConfig(meas_sigma=0.0, odom_trans_sigma=0.0,
                          odom_rot_sigma=0.0)
@@ -28,12 +28,13 @@ def assert_sensor_poses(w, j, rel_r, rel_p, rig, **tol):
                                    rel_r @ ext.translation + rel_p, **tol)
 
 
-def frame_of(t, dr, dp, readings, gt=None):
-    gt = gt or PoseState(np.zeros(3), np.zeros(3))
+def frame_of(t, dr, dp, readings):
+    """A frame of the given odometry increment and readings, its reference
+    pose at the origin."""
     return DatasetFrame(t=t, odom_dq=quat_from_rotation(dr),
                         odom_dp=np.asarray(dp, float),
                         readings=np.atleast_2d(readings),
-                        gt_p=gt.position, gt_q=quat_from_rotation(gt.rotation()))
+                        gt_p=np.zeros(3), gt_q=np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 class TestRegressor:
@@ -193,11 +194,11 @@ class TestSensorPoses:
         w = SlidingWindow(0.5, rig)
         w.push(frame_of(0.0, np.eye(3), [0, 0, 0], np.zeros((len(rig), 3))))
         yaw = 0.7
-        x = PoseState(np.array([2.0, -1.0, 0.0]), np.array([0, 0, yaw]))
+        position = np.array([2.0, -1.0, 0.0])
         rz = exp_so3(np.array([0, 0, yaw]))
-        _, pos = sensor_poses(w.snapshot(), x.rotation(), x.position)
+        _, pos = sensor_poses(w.snapshot(), rz, position)
         for i, ext in enumerate(rig):
-            np.testing.assert_allclose(pos[0, i], rz @ ext.translation + x.position,
+            np.testing.assert_allclose(pos[0, i], rz @ ext.translation + position,
                                        atol=1e-12)
 
     def test_against_simulator_ground_truth(self):
@@ -216,12 +217,14 @@ class TestSensorPoses:
         for frame in frames[:9]:
             w.push(frame)
         snap = w.snapshot()
-        x_newest = frames[8].gt_pose()
-        rot, pos = sensor_poses(snap, x_newest.rotation(), x_newest.position)
+        position, yaw = frame_pose(frames[8])
+        rot, pos = sensor_poses(snap, exp_so3(np.array([0.0, 0.0, yaw])),
+                                position)
         j_count = len(snap)
         for j in range(j_count):
             frame_idx = 8 - (j_count - 1 - j)
-            true_rot, true_pos = sensor_world_poses(frames[frame_idx].gt_pose(), rig)
+            true_rot, true_pos = sensor_world_poses(*frame_pose(frames[frame_idx]),
+                                                    rig)
             np.testing.assert_allclose(rot[j], true_rot, atol=1e-9)
             np.testing.assert_allclose(pos[j], true_pos, atol=1e-9)
 

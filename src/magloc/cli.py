@@ -88,6 +88,18 @@ def _read_summary(path: Path) -> tuple:
     return _read_json(path, "run summary", check)
 
 
+def _read_precalibrated(path: Path) -> bool:
+    """`precalibrated` of a run config, which must be true or false."""
+    def check(data):
+        value = data.get("precalibrated")
+        # A truthy string such as "false" would score against identity.
+        if not isinstance(value, bool):
+            raise ConfigurationError(
+                f"precalibrated must be true or false, got {value!r}")
+        return value
+    return _read_json(path, "run config", check)
+
+
 def _load_scenario(args) -> scenario.ScenarioConfig:
     """The command's scenario.  A `scenario.json` in `--out` that differs
     from it is refused here, before any work, so that a directory never
@@ -208,13 +220,12 @@ def cmd_eval(args) -> int:
         if not (run_dir / name).exists():
             raise ConfigurationError(f"run directory is missing {name}")
     final_thetas, mean_frame_ms = _read_summary(run_dir / RUN_SUMMARY)
+    precalibrated = _read_precalibrated(run_dir / RUN_CONFIG)
     n_sensors = len(final_thetas)
     frames = sim.read_dataset(args.dataset)
     columns = evaluate.read_trajectory_csv(run_dir / TRAJECTORY)
-    with open(run_dir / RUN_CONFIG) as f:
-        run_config = json.load(f)
 
-    if run_config.get("precalibrated"):
+    if precalibrated:
         theta_true = [sim.identity_theta() for _ in range(n_sensors)]
     else:
         truth_path = Path(args.truth) if args.truth else Path(args.dataset).parent / TRUTH

@@ -334,6 +334,14 @@ def rls_update(state: RlsState, b: np.ndarray, g: np.ndarray) -> RlsState:
 
 @dataclass
 class EstimatorOutput:
+    """Per-frame outputs of `run`, row k for frame k.
+
+    With calibration on, `thetas` owns one (N, 12) calibration per frame.
+    With calibration off the calibration never changes, so `thetas` is a
+    read-only `np.broadcast_to` view of one (N, 12) array: every row is
+    the same memory, and writing into it raises.
+    """
+
     timestamps: np.ndarray  # (T,)
     positions: np.ndarray  # (T, 3)
     orientations: np.ndarray  # (T,) yaw
@@ -404,8 +412,19 @@ def run(frames, grid: MagneticGridMap, extrinsics,
     thetas = rls.theta  # updated in place, one row per sensor
     position, yaw = frames[0].gt_p.copy(), frames[0].gt_yaw()
 
-    t_out, pos_out, ori_out, theta_out = [], [], [], []
-    fb_out, alt_out, res_out, ms_out = [], [], [], []
+    n_frames = len(frames)
+    positions = np.empty((n_frames, 3))
+    orientations = np.empty(n_frames)
+    fallbacks = np.empty(n_frames, dtype=bool)
+    alternations = np.empty(n_frames, dtype=int)
+    residuals = np.empty(n_frames)
+    frame_ms = np.empty(n_frames)
+    if config.calibrate:
+        trace = np.empty((n_frames, n_sensors, 12))
+    else:
+        # The calibration never changes: one private copy, read-only and
+        # broadcast over the frames.
+        trace = np.broadcast_to(thetas.copy(), (n_frames, n_sensors, 12))
     for k, frame in enumerate(frames):
         tic = time.perf_counter()
         if k > 0:
@@ -429,22 +448,20 @@ def run(frames, grid: MagneticGridMap, extrinsics,
             if g is not None:
                 for i in range(n_sensors):
                     rls_update(rls[i], frame.readings[i], g[i])
-        ms_out.append((time.perf_counter() - tic) * 1e3)
-        t_out.append(frame.t)
-        pos_out.append(position.copy())
-        ori_out.append(yaw)
-        theta_out.append(thetas.copy())
-        fb_out.append(fallback)
-        alt_out.append(result.alternations)
-        res_out.append(result.residual_norm)
+            trace[k] = thetas
+        frame_ms[k] = (time.perf_counter() - tic) * 1e3
+        positions[k] = position
+        orientations[k] = yaw
+        fallbacks[k] = fallback
+        alternations[k] = result.alternations
+        residuals[k] = result.residual_norm
     calib_sigma = None
     if config.calibrate:
         calib_sigma = config.meas_sigma * np.sqrt(np.diagonal(
             np.linalg.solve(rls.normal, np.eye(4)), axis1=1, axis2=2))
     return EstimatorOutput(
-        np.array(t_out), np.stack(pos_out), np.array(ori_out),
-        np.stack(theta_out), np.array(fb_out, dtype=bool),
-        np.array(alt_out), np.array(res_out), np.array(ms_out), calib_sigma)
+        np.array([f.t for f in frames]), positions, orientations, trace,
+        fallbacks, alternations, residuals, frame_ms, calib_sigma)
 
 
 def write_trajectory_csv(output: EstimatorOutput, path) -> None:

@@ -569,6 +569,36 @@ class TestRunAndEval:
         assert f"run summary {path}" in err and message in err
         assert sorted(f.name for f in run_out.iterdir()) == before
 
+    # Run configs that once scored against identity calibrations (exit 0)
+    # or failed with a bare AttributeError (exit 1).
+    BAD_RUN_CONFIG = {
+        "string_false": (lambda c: dict(c, precalibrated="false"),
+                         "precalibrated must be true or false, got 'false'"),
+        "list": (lambda c: ["oops"],
+                 "precalibrated must be true or false, got None"),
+        "not_json": (lambda c: "oops", "Expecting value"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_RUN_CONFIG))
+    def test_bad_run_config_eval_exit_2_without_report(self, tmp_path, workdir,
+                                                       capsys, case):
+        config_path, out = workdir
+        run_out = tmp_path / "r"
+        assert main(["run", "--config", config_path, "--out", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl"),
+                     "--map", str(out / "map_true.mag")]) == 0
+        make, message = self.BAD_RUN_CONFIG[case]
+        path = run_out / "run_config.json"
+        body = make(json.loads(path.read_text()))
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
+        before = sorted(f.name for f in run_out.iterdir())
+        capsys.readouterr()
+        assert main(["eval", "--run-dir", str(run_out),
+                     "--dataset", str(out / "dataset.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"run config {path}" in err and message in err
+        assert sorted(f.name for f in run_out.iterdir()) == before
+
     @pytest.mark.parametrize("n_sensors", [7, 9])
     def test_precalibrated_sensor_count_mismatch_exit_2(self, tmp_path, workdir,
                                                         capsys, n_sensors):

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -800,3 +802,69 @@ class TestRun:
         summary = summary_dict(output)
         assert summary["n_frames"] == len(frames)
         assert len(summary["final_thetas"]) == len(rig)
+
+
+class TestTraceStorage:
+    """The calibration trace holds one (N, 12) array when calibration is
+    off, and one per frame when it is on."""
+
+    def distorted_run(self, calibrate):
+        field, grid = dipole_world()
+        poses = generate_trajectory([[1.0, 1.0], [3.0, 1.0]], 0.5, 10.0)
+        rig = default_rig()
+        calibs = sample_distortions(len(rig), np.random.default_rng(5))
+        frames = build_dataset(field, poses, 10.0, rig, calibs,
+                               NoiseConfig(), np.random.default_rng(6))
+        return frames, run(frames, grid, rig, SolverConfig(calibrate=calibrate))
+
+    def test_calibration_off_trace_is_one_read_only_array(self):
+        frames, out = self.distorted_run(calibrate=False)
+        n = len(default_rig())
+        assert out.thetas.shape == (len(frames), n, 12)
+        # The run never moves from the identity it starts at.
+        assert np.array_equal(out.thetas,
+                              np.broadcast_to(identity_theta(), out.thetas.shape))
+        assert np.shares_memory(out.thetas[0], out.thetas[-1])
+        with pytest.raises(ValueError, match="read-only"):
+            out.thetas[0, 0, 0] = 2.0
+
+    def test_calibrating_trace_owns_a_row_per_frame(self):
+        frames, out = self.distorted_run(calibrate=True)
+        assert out.thetas.shape == (len(frames), len(default_rig()), 12)
+        assert out.thetas.flags.owndata and out.thetas.flags.writeable
+        assert not np.array_equal(out.thetas[0], out.thetas[-1])
+        assert not np.shares_memory(out.thetas[0], out.thetas[-1])
+
+    def test_calibration_off_run_retains_less_than_a_fifth_of_a_trace(self):
+        # The reference dataset (seed 7, 601 frames, 8 sensors), its
+        # readings precalibrated with the true calibrations as `run
+        # --precalibrated` does, on the true map.  A per-frame copy of the
+        # unchanging calibration would keep T x N x 12 floats; the output
+        # keeps about a tenth of that, all of it the other per-frame columns.
+        cfg = scenario.reference_config(7)
+        model = scenario.field_model(cfg)
+        grid = rasterize(model, **scenario.grid_spec(cfg))
+        rig = scenario.rig(cfg)
+        calibs = scenario.true_calibrations(cfg)
+        poses = generate_trajectory(cfg.trajectory.waypoints,
+                                    cfg.trajectory.speed,
+                                    cfg.trajectory.frame_rate)
+        frames = build_dataset(model, poses, cfg.trajectory.frame_rate, rig,
+                               calibs, scenario.noise_config(cfg),
+                               scenario.seed_children(cfg.seed)[2])
+        for frame in frames:
+            frame.readings = np.stack([c.c @ b + c.b
+                                       for c, b in zip(calibs, frame.readings)])
+        solver = scenario.solver_config(cfg, calibrate=False)
+        trace_bytes = len(frames) * len(rig) * 12 * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = run(frames, grid, rig, solver)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.thetas.shape == (len(frames), len(rig), 12)
+        assert retained < trace_bytes / 5
